@@ -9,7 +9,6 @@ reproduces reference speedup tables with a matmul-FLOP cost model.
 from .attention import (
     MaskKind,
     MaskSpec,
-    SequenceTensor,
     SoftmaxAccumulator,
     TileCensus,
     TileClass,
@@ -38,7 +37,6 @@ from .costmodel import (
 from .layout import Layout, PermutedBatch, Scheme, Shard
 from .simulator import (
     Algo,
-    DeviceState,
     RoundStats,
     SimConfig,
     SimRun,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algo",
-    "DeviceState",
     "GoldenDelta",
     "GoldenRow",
     "Layout",
@@ -70,7 +67,6 @@ __all__ = [
     "PropertyResult",
     "RoundStats",
     "Scheme",
-    "SequenceTensor",
     "Shard",
     "SimConfig",
     "SimRun",

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Alias for readability in signatures: (tokens, features) float matrix.
-SequenceTensor = np.ndarray
-
-
 def check_sequence(name: str, x) -> np.ndarray:
     """Coerce to a float matrix and enforce: 2-D, non-empty, all finite."""
     arr = np.asarray(x)
@@ -183,12 +179,13 @@ def get_mask_striped(j: int, k: int, c: int, n_devices: int | None = None) -> Ma
     return MaskSpec(kind, c, c)
 
 
-def _check_tiling(mask: MaskSpec, tile_q: int, tile_k: int) -> tuple[int, int]:
-    if tile_q < 1 or mask.block_rows % tile_q:
-        raise ValueError(f"tile_q={tile_q} does not divide block_rows={mask.block_rows}")
-    if tile_k < 1 or mask.block_cols % tile_k:
-        raise ValueError(f"tile_k={tile_k} does not divide block_cols={mask.block_cols}")
-    return mask.block_rows // tile_q, mask.block_cols // tile_k
+def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> tuple[int, int]:
+    """Tile-grid shape of a block; each tile side must divide the block side."""
+    if tile_q < 1 or block_rows % tile_q:
+        raise ValueError(f"tile_q={tile_q} does not divide block_rows={block_rows}")
+    if tile_k < 1 or block_cols % tile_k:
+        raise ValueError(f"tile_k={tile_k} does not divide block_cols={block_cols}")
+    return block_rows // tile_q, block_cols // tile_k
 
 
 def _classify_bounds(kind: MaskKind, r0: int, r1: int, c0: int, c1: int) -> TileClass:
@@ -212,7 +209,7 @@ def _classify_bounds(kind: MaskKind, r0: int, r1: int, c0: int, c1: int) -> Tile
 
 def classify_tiles(mask: MaskSpec, tile_q: int, tile_k: int) -> list[list[TileClass]]:
     """Class of every (tile_q x tile_k) tile of the block, row-major."""
-    grid_rows, grid_cols = _check_tiling(mask, tile_q, tile_k)
+    grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
     grid = []
     for ti in range(grid_rows):
         r0 = ti * tile_q
@@ -242,7 +239,7 @@ def tile_census(mask: MaskSpec, tile_q: int, tile_k: int) -> TileCensus:
     Must agree exactly with counting over ``classify_tiles``; large
     configurations use this to account work without touching numerics.
     """
-    grid_rows, grid_cols = _check_tiling(mask, tile_q, tile_k)
+    grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
     total = grid_rows * grid_cols
     if mask.kind is MaskKind.FULLY_MASKED:
         return TileCensus(0, 0, total)

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .attention import get_mask_striped
+from .layout import check_split
+
 _GOLDEN_RESOURCE = "data/tms_appendix.csv"
 PRESET_FIELDS = ("n_vocab", "d_model", "d_ff", "n_layer", "n_head")
 SPEEDUP_TOLERANCE = 0.02  # reference tables print 2 decimals
@@ -98,10 +101,7 @@ class TmsQuery:
     flop_weight: float = 2.0  # attention-FLOP cost relative to other FLOPs
 
     def __post_init__(self):
-        if self.sp < 2:
-            raise ValueError(f"sp must be at least 2, got {self.sp}")
-        if self.n_seq < self.sp or self.n_seq % self.sp != 0:
-            raise ValueError(f"sp={self.sp} must divide n_seq={self.n_seq}")
+        check_split(self.n_seq, self.sp)
         if self.flop_weight <= 0:
             raise ValueError(f"flop_weight must be positive, got {self.flop_weight}")
 
@@ -109,9 +109,7 @@ class TmsQuery:
 def work(i: int, j: int, c: int) -> int:
     """Pairwise interactions one striped device computes for query stripe i
     against key stripe j; the diagonal is included only when i >= j."""
-    if c < 1:
-        raise ValueError(f"block size must be positive, got {c}")
-    return c * (c + 1) // 2 if i >= j else c * (c - 1) // 2
+    return get_mask_striped(i, j, c).count_allowed()
 
 
 def tms(query: TmsQuery) -> float:

@@ -17,9 +17,27 @@ from typing import Sequence
 import numpy as np
 
 
-class Scheme(enum.Enum):
-    CONTIGUOUS = "contiguous"
+class Algo(enum.Enum):
+    """Token layout, and with it the schedule's block masks.
+
+    ``RING`` is the contiguous layout; ``CONTIGUOUS`` names the same member.
+    """
+
+    RING = "ring"
     STRIPED = "striped"
+    CONTIGUOUS = "ring"
+
+
+Scheme = Algo
+
+
+def check_split(n_seq: int, n_devices: int) -> int:
+    """Block size of an even split of n_seq tokens over n_devices >= 2 devices."""
+    if n_devices < 2:
+        raise ValueError(f"need at least 2 devices, got {n_devices}")
+    if n_seq < n_devices or n_seq % n_devices != 0:
+        raise ValueError(f"{n_devices} devices must evenly divide sequence length {n_seq}")
+    return n_seq // n_devices
 
 
 @dataclass(frozen=True)
@@ -43,17 +61,12 @@ class PermutedBatch:
 
 @dataclass(frozen=True)
 class Layout:
-    scheme: Scheme
+    scheme: Algo
     n_seq: int
     n_devices: int
 
     def __post_init__(self):
-        if self.n_devices < 2:
-            raise ValueError(f"need at least 2 devices, got {self.n_devices}")
-        if self.n_seq < self.n_devices or self.n_seq % self.n_devices != 0:
-            raise ValueError(
-                f"{self.n_devices} devices must evenly divide sequence length {self.n_seq}"
-            )
+        check_split(self.n_seq, self.n_devices)
 
     @property
     def block_size(self) -> int:
@@ -65,7 +78,7 @@ class Layout:
             raise ValueError(f"device {device} out of range (N={self.n_devices})")
         if not 0 <= local < self.block_size:
             raise ValueError(f"local index {local} out of range (block size {self.block_size})")
-        if self.scheme is Scheme.CONTIGUOUS:
+        if self.scheme is Algo.RING:
             return device * self.block_size + local
         return device + local * self.n_devices
 
@@ -74,7 +87,7 @@ class Layout:
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range (N={self.n_devices})")
         locals_ = np.arange(self.block_size)
-        if self.scheme is Scheme.CONTIGUOUS:
+        if self.scheme is Algo.RING:
             return device * self.block_size + locals_
         return device + locals_ * self.n_devices
 

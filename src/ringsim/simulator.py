@@ -6,16 +6,18 @@ that block to its ring successor and receives from its predecessor. The
 contiguous and striped layouts share the identical schedule; they differ
 only in which mask a (query block, key block) pair produces.
 
-Two executors produce bit-identical results: a single-threaded round-robin
-and one worker thread per device connected by ordered point-to-point
-queues. Each device's floating-point accumulation order is fixed (rounds
-in order, tiles row-major within a round), so thread interleaving cannot
-perturb outputs or counters.
+Both executors run the same per-device round loop and differ only in how
+a device gets its next block: the serial one runs the devices one after
+another and reads the block straight from the partitioned batch; the
+threaded one runs one worker per device, connected by ordered
+point-to-point queues. Each device's floating-point accumulation order is
+fixed (rounds in order, tiles row-major within a round), so the two are
+bit-identical. Work counters come from the closed form
+(``schedule_work_stats``), never from the numerics.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import queue
 import threading
@@ -28,6 +30,8 @@ from .attention import (
     SoftmaxAccumulator,
     TileClass,
     accumulate_tile,
+    check_sequence,
+    check_tiling,
     classify_tiles,
     finalize,
     get_mask_ring,
@@ -35,14 +39,9 @@ from .attention import (
     oracle_causal_attention,
     tile_census,
 )
-from .layout import Layout, PermutedBatch, Scheme
+from .layout import Algo, Layout, PermutedBatch, check_split
 
-_CHANNEL_TIMEOUT_S = 30.0
-
-
-class Algo(enum.Enum):
-    RING = "ring"
-    STRIPED = "striped"
+_CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
 
 
 @dataclass
@@ -62,19 +61,10 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.algo, str):
             self.algo = Algo(self.algo)
-        if self.n_devices < 2:
-            raise ValueError(f"need at least 2 devices, got {self.n_devices}")
-        if self.n_seq < self.n_devices or self.n_seq % self.n_devices != 0:
-            raise ValueError(
-                f"{self.n_devices} devices must evenly divide sequence length {self.n_seq}"
-            )
+        c = check_split(self.n_seq, self.n_devices)
         if self.d_head < 1:
             raise ValueError(f"d_head must be positive, got {self.d_head}")
-        c = self.block_size
-        if self.tile_q < 1 or c % self.tile_q != 0:
-            raise ValueError(f"tile_q={self.tile_q} must divide the block size {c}")
-        if self.tile_k < 1 or c % self.tile_k != 0:
-            raise ValueError(f"tile_k={self.tile_k} must divide the block size {c}")
+        check_tiling(c, c, self.tile_q, self.tile_k)
         if self.precision not in ("double", "single"):
             raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
         if self.executor not in ("serial", "threads"):
@@ -109,25 +99,8 @@ class WorkStats:
     rounds: list[RoundStats] = field(default_factory=list)
 
 
-@dataclass
-class DeviceState:
-    """One simulated device: resident queries plus the K/V block in hand.
-
-    At the start of round i the held block index is (device - i) mod N.
-    """
-
-    device: int
-    q_block: np.ndarray
-    held_index: int
-    held_k: np.ndarray
-    held_v: np.ndarray
-    acc: SoftmaxAccumulator
-    stats: WorkStats
-
-
 def make_layout(config: SimConfig) -> Layout:
-    scheme = Scheme.CONTIGUOUS if config.algo is Algo.RING else Scheme.STRIPED
-    return Layout(scheme, config.n_seq, config.n_devices)
+    return Layout(config.algo, config.n_seq, config.n_devices)
 
 
 def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
@@ -141,89 +114,85 @@ def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
     return get_mask_striped(j, k, c, n_devices=n_devices)
 
 
-def _process_round(config: SimConfig, dev: DeviceState, round_i: int) -> None:
-    c = config.block_size
-    mask = _block_mask(config.algo, dev.device, dev.held_index, c, config.n_devices)
-    grid = classify_tiles(mask, config.tile_q, config.tile_k)
-    area = config.tile_q * config.tile_k
-    n_full = n_partial = n_skip = 0
-    computed = required = 0
-    for ti, grid_row in enumerate(grid):
-        r0 = ti * config.tile_q
-        r1 = r0 + config.tile_q
-        for tj, cls in enumerate(grid_row):
-            if cls is TileClass.SKIP:
-                n_skip += 1
-                continue
-            c0 = tj * config.tile_k
-            c1 = c0 + config.tile_k
-            required += mask.count_allowed(r0, r1, c0, c1)
-            computed += area  # partial tiles are charged the whole tile
-            if cls is TileClass.PARTIAL:
-                n_partial += 1
-                allowed = mask.allowed_block(r0, r1, c0, c1)
-            else:
-                n_full += 1
-                allowed = None
-            accumulate_tile(
-                dev.acc.rows(r0, r1),
-                dev.q_block[r0:r1],
-                dev.held_k[c0:c1],
-                dev.held_v[c0:c1],
-                allowed,
-            )
-    dev.stats.rounds.append(
-        RoundStats(
-            round=round_i,
-            block_index=dev.held_index,
-            tiles_total=len(grid) * len(grid[0]),
-            tiles_skipped=n_skip,
-            tiles_partial=n_partial,
-            tiles_full=n_full,
-            interactions_computed=computed,
-            interactions_required=required,
-        )
-    )
+def _device_rounds(config: SimConfig, j: int, q_block, kv, exchange) -> np.ndarray:
+    """Device j's whole schedule; returns its normalized output block.
 
-
-def _run_serial(config: SimConfig, devices: list[DeviceState]) -> list[np.ndarray]:
-    n = config.n_devices
+    ``kv`` is the (K, V) block the device starts with, its own. Round i
+    folds the held block, (j - i) mod N, tile by tile in row-major order;
+    then ``exchange(j, i, kv)`` hands back the block held in round i + 1.
+    """
+    n, c = config.n_devices, config.block_size
+    tq, tk = config.tile_q, config.tile_k
+    acc = SoftmaxAccumulator.fresh(c, kv[1].shape[1], config.dtype)
     for i in range(n):
-        for dev in devices:
-            _process_round(config, dev, i)
-        # simultaneous rotation: block held by j moves to j+1
-        held = [(d.held_index, d.held_k, d.held_v) for d in devices]
-        for j, dev in enumerate(devices):
-            dev.held_index, dev.held_k, dev.held_v = held[(j - 1) % n]
-    return [finalize(dev.acc) for dev in devices]
+        k_block, v_block = kv
+        mask = _block_mask(config.algo, j, (j - i) % n, c, n)
+        for ti, grid_row in enumerate(classify_tiles(mask, tq, tk)):
+            r0, r1 = ti * tq, (ti + 1) * tq
+            for tj, cls in enumerate(grid_row):
+                if cls is TileClass.SKIP:
+                    continue
+                c0, c1 = tj * tk, (tj + 1) * tk
+                allowed = mask.allowed_block(r0, r1, c0, c1) if cls is TileClass.PARTIAL else None
+                accumulate_tile(
+                    acc.rows(r0, r1), q_block[r0:r1], k_block[c0:c1], v_block[c0:c1], allowed
+                )
+        if i + 1 < n:
+            kv = exchange(j, i, kv)
+    return finalize(acc)
 
 
-def _run_threads(config: SimConfig, devices: list[DeviceState]) -> list[np.ndarray]:
+def _run_serial(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
     n = config.n_devices
-    inboxes = [queue.Queue() for _ in range(n)]  # inboxes[j]: written only by j-1
+
+    def exchange(j: int, i: int, kv):
+        shard = batch.shards[(j - i - 1) % n]  # what the predecessor held in round i
+        return shard.k, shard.v
+
+    return [
+        _device_rounds(config, j, sh.q, (sh.k, sh.v), exchange)
+        for j, sh in enumerate(batch.shards)
+    ]
+
+
+class _PeerFailed(Exception):
+    """Another device raised; this one stops without a result."""
+
+
+_ABORT = object()  # put into every inbox by a failing worker
+
+
+def _run_threads(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
+    n = config.n_devices
+    inboxes = [queue.Queue() for _ in range(n)]  # inboxes[j]: blocks come only from j-1
     outputs: list[np.ndarray | None] = [None] * n
     errors: list[BaseException] = []
 
-    def worker(dev: DeviceState) -> None:
+    def exchange(j: int, i: int, kv):
+        inboxes[(j + 1) % n].put(kv)
         try:
-            for i in range(n):
-                _process_round(config, dev, i)
-                inboxes[(dev.device + 1) % n].put((dev.held_index, dev.held_k, dev.held_v))
-                try:
-                    dev.held_index, dev.held_k, dev.held_v = inboxes[dev.device].get(
-                        timeout=_CHANNEL_TIMEOUT_S
-                    )
-                except queue.Empty:
-                    raise RuntimeError(
-                        f"ring channel stalled: device {dev.device} got nothing in round {i}"
-                    ) from None
-            outputs[dev.device] = finalize(dev.acc)
-        except BaseException as exc:  # propagate to the caller after join
+            got = inboxes[j].get(timeout=_CHANNEL_TIMEOUT_S)
+        except queue.Empty:
+            raise RuntimeError(
+                f"ring channel stalled: device {j} got nothing after round {i}"
+            ) from None
+        if got is _ABORT:
+            raise _PeerFailed
+        return got
+
+    def worker(j: int, shard) -> None:
+        try:
+            outputs[j] = _device_rounds(config, j, shard.q, (shard.k, shard.v), exchange)
+        except _PeerFailed:
+            pass
+        except BaseException as exc:  # re-raised by the caller after join
             errors.append(exc)
+            for inbox in inboxes:
+                inbox.put(_ABORT)
 
     threads = [
-        threading.Thread(target=worker, args=(dev,), name=f"device-{dev.device}", daemon=True)
-        for dev in devices
+        threading.Thread(target=worker, args=(j, sh), name=f"device-{j}", daemon=True)
+        for j, sh in enumerate(batch.shards)
     ]
     for t in threads:
         t.start()
@@ -238,14 +207,14 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
     """Execute the N-round rotation.
 
     Returns (per-device outputs, per-device WorkStats), outputs still in
-    the layout's local order.
+    the layout's local order. The stats are ``schedule_work_stats`` of
+    the config: the counters depend on the masks and the tiling only.
     """
     n, c = config.n_devices, config.block_size
-    expected_scheme = Scheme.CONTIGUOUS if config.algo is Algo.RING else Scheme.STRIPED
-    if batch.layout.scheme is not expected_scheme:
+    if batch.layout.scheme is not config.algo:
         raise ValueError(
-            f"batch is partitioned {batch.layout.scheme.value}, "
-            f"but algo {config.algo.value} needs {expected_scheme.value}"
+            f"batch is partitioned for {batch.layout.scheme.value}, "
+            f"but the config runs {config.algo.value}"
         )
     if batch.layout.n_seq != config.n_seq or batch.layout.n_devices != n:
         raise ValueError("batch layout does not match the simulation config")
@@ -258,23 +227,9 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
             )
         if sh.v.shape[0] != c:
             raise ValueError(f"device {d} V shard must have {c} rows, got {sh.v.shape[0]}")
-    devices = [
-        DeviceState(
-            device=j,
-            q_block=sh.q,
-            held_index=j,
-            held_k=sh.k,
-            held_v=sh.v,
-            acc=SoftmaxAccumulator.fresh(c, sh.v.shape[1], config.dtype),
-            stats=WorkStats(device=j),
-        )
-        for j, sh in enumerate(batch.shards)
-    ]
-    if config.executor == "threads":
-        outputs = _run_threads(config, devices)
-    else:
-        outputs = _run_serial(config, devices)
-    return outputs, [dev.stats for dev in devices]
+    run = _run_threads if config.executor == "threads" else _run_serial
+    outputs = run(config, batch)
+    return outputs, schedule_work_stats(config.algo, n, c, config.tile_q, config.tile_k)
 
 
 def schedule_work_stats(
@@ -282,15 +237,13 @@ def schedule_work_stats(
 ) -> list[WorkStats]:
     """Closed-form per-round work counters, no numerics.
 
-    Produces exactly what ``run_schedule`` records, via ``tile_census``
-    instead of per-tile enumeration, so huge blocks (e.g. 4096 with 1x1
-    tiles) are accounted in milliseconds.
+    Counts tiles with ``tile_census`` instead of enumerating them, so huge
+    blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds.
+    Partial tiles are charged their whole area as computed.
     """
     algo = Algo(algo) if isinstance(algo, str) else algo
     if n_devices < 2:
         raise ValueError(f"need at least 2 devices, got {n_devices}")
-    if tile_q < 1 or block_size % tile_q or tile_k < 1 or block_size % tile_k:
-        raise ValueError(f"tiles {tile_q}x{tile_k} must divide the block size {block_size}")
     area = tile_q * tile_k
     out = []
     for j in range(n_devices):
@@ -356,11 +309,17 @@ class SimRun:
 
 
 def simulate(config: SimConfig, inputs=None) -> SimRun:
-    """Generate (or take) Q/K/V, partition, run the schedule, reassemble."""
+    """Generate (or take) Q/K/V, partition, run the schedule, reassemble.
+
+    Given inputs are cast to the config's precision and must be finite.
+    """
     if inputs is None:
         q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
     else:
-        q, k, v = (np.asarray(x) for x in inputs)
+        q, k, v = (
+            check_sequence(name, np.asarray(x, dtype=config.dtype))
+            for name, x in zip("QKV", inputs)
+        )
     layout = make_layout(config)
     q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q
     batch = layout.partition(q_in, k, v)

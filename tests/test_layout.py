@@ -6,6 +6,11 @@ from ringsim.layout import Layout, Scheme
 
 from helpers import dense_masked_reference
 
+# RING is also named CONTIGUOUS; the ids keep the layout's own name for it.
+SCHEMES = pytest.mark.parametrize(
+    "scheme", list(Scheme), ids=["Scheme.CONTIGUOUS", "Scheme.STRIPED"]
+)
+
 
 def test_global_of_striped_examples():
     layout = Layout(Scheme.STRIPED, 16, 4)
@@ -33,7 +38,7 @@ def test_layout_requires_even_division():
         Layout(Scheme.STRIPED, 8, 1)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@SCHEMES
 @pytest.mark.parametrize("n_devices,n_seq", [(2, 4), (2, 16), (4, 16), (8, 64)])
 def test_global_of_is_a_bijection(scheme, n_devices, n_seq):
     layout = Layout(scheme, n_seq, n_devices)
@@ -66,7 +71,7 @@ def test_gather_identity_sequence():
     np.testing.assert_array_equal(layout.gather([sh.q for sh in batch.shards]), ident)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@SCHEMES
 @pytest.mark.parametrize("n_devices", [2, 4, 8])
 def test_gather_inverts_partition(scheme, n_devices):
     rng = np.random.default_rng(n_devices)

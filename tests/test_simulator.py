@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from ringsim import simulator
 from ringsim.attention import get_mask_ring, get_mask_striped
 from ringsim.simulator import (
     Algo,
@@ -15,7 +18,7 @@ from ringsim.simulator import (
     simulated_speedup,
 )
 
-from helpers import dense_causal_reference
+from helpers import dense_causal_reference, enumerated_work_stats
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,27 @@ def test_run_schedule_rejects_mismatched_batch():
             SimConfig(algo=Algo.STRIPED, n_devices=4, n_seq=16, d_head=8, tile_q=2, tile_k=2),
             small.partition(q, k, v),
         )
+
+
+@pytest.mark.parametrize("which,bad", [(0, np.nan), (1, np.inf), (2, -np.inf)])
+def test_simulate_rejects_non_finite_inputs(which, bad):
+    config = SimConfig(algo=Algo.STRIPED, n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
+    inputs = [np.array(x) for x in random_qkv(8, 4, 0)]
+    inputs[which][3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(config, inputs)
+
+
+def test_single_precision_casts_given_inputs():
+    config = SimConfig(
+        algo=Algo.RING, n_devices=4, n_seq=32, d_head=8, tile_q=2, tile_k=4, seed=2,
+        precision="single",
+    )
+    inputs = random_qkv(32, 8, 2)  # float64
+    from_double = simulate(config, inputs)
+    from_single = simulate(config, [x.astype(np.float32) for x in inputs])
+    assert from_double.output.dtype == np.float32
+    assert from_double.output.tobytes() == from_single.output.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +189,9 @@ def test_run_stats_equal_closed_form_stats(algo, n_devices, n_seq, tile_q, tile_
     config = SimConfig(
         algo=algo, n_devices=n_devices, n_seq=n_seq, d_head=4, tile_q=tile_q, tile_k=tile_k
     )
-    run = simulate(config)
-    assert run.stats == schedule_work_stats(algo, n_devices, config.block_size, tile_q, tile_k)
+    want = enumerated_work_stats(algo, n_devices, config.block_size, tile_q, tile_k)
+    assert schedule_work_stats(algo, n_devices, config.block_size, tile_q, tile_k) == want
+    assert simulate(config).stats == want
 
 
 def test_striped_balance_ratio():
@@ -205,6 +230,32 @@ def test_serial_and_threaded_runs_are_bit_identical(algo):
     assert threaded.output.tobytes() == serial.output.tobytes()
     assert rerun.stats == serial.stats
     assert threaded.stats == serial.stats
+
+
+class InjectedFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+def test_threaded_fault_fails_fast(monkeypatch, algo):
+    # Device 0 raises in round 1, when it holds block N-1; its peers must
+    # stop at once instead of waiting out the channel timeout.
+    n = 4
+    real_mask = simulator._block_mask
+
+    def faulty_mask(algo_, j, k, c, n_devices):
+        if j == 0 and k == n - 1:
+            raise InjectedFault("device 0, round 1")
+        return real_mask(algo_, j, k, c, n_devices)
+
+    monkeypatch.setattr(simulator, "_block_mask", faulty_mask)
+    config = SimConfig(
+        algo=algo, n_devices=n, n_seq=32, d_head=4, tile_q=2, tile_k=2, executor="threads"
+    )
+    start = time.perf_counter()
+    with pytest.raises(InjectedFault, match="device 0, round 1"):
+        simulate(config)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
