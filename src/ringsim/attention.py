@@ -21,10 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-def check_sequence(name: str, x) -> np.ndarray:
-    """Coerce to a float matrix and enforce: 2-D, non-empty, all finite."""
+def check_sequence(name: str, x, dtype=None) -> np.ndarray:
+    """Coerce to a real float matrix and enforce: 2-D, non-empty, all finite.
+
+    Complex input is rejected, not cast, so no imaginary part is dropped.
+    ``dtype`` casts to that float type before the checks; by default
+    float32 and float64 pass through and anything else becomes float64.
+    """
     arr = np.asarray(x)
-    if arr.dtype not in (np.float32, np.float64):
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    if dtype is not None:
+        arr = arr.astype(dtype, copy=False)
+    elif arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
@@ -234,10 +243,12 @@ class TileCensus:
 
 
 def tile_census(mask: MaskSpec, tile_q: int, tile_k: int) -> TileCensus:
-    """Tile-class counts without building the grid; O(block_rows / tile_q).
+    """Tile-class counts without building the grid or looping in Python.
 
-    Must agree exactly with counting over ``classify_tiles``; large
-    configurations use this to account work without touching numerics.
+    Evaluates, for every tile row at once, how many tiles are full and
+    where the skipped ones start. Must agree exactly with counting over
+    ``classify_tiles``; large configurations use this to account work
+    without touching numerics.
     """
     grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
     total = grid_rows * grid_cols
@@ -245,19 +256,16 @@ def tile_census(mask: MaskSpec, tile_q: int, tile_k: int) -> TileCensus:
         return TileCensus(0, 0, total)
     if mask.kind is MaskKind.FULLY_UNMASKED:
         return TileCensus(total, 0, 0)
-    inclusive = mask.kind is MaskKind.CAUSAL_INCLUSIVE
-    n_full = n_skip = 0
-    for ti in range(grid_rows):
-        r0 = ti * tile_q
-        r1 = r0 + tile_q
-        if inclusive:
-            full = (r0 + 1) // tile_k                     # tiles with c1 - 1 <= r0
-            first_skip = (r1 - 1) // tile_k + 1           # first tj with c0 > r1 - 1
-        else:
-            full = r0 // tile_k                           # tiles with c1 <= r0
-            first_skip = (r1 - 2 + tile_k) // tile_k      # first tj with c0 >= r1 - 1
-        n_full += min(full, grid_cols)
-        n_skip += grid_cols - min(first_skip, grid_cols)
+    r0 = np.arange(grid_rows, dtype=np.int64) * tile_q
+    r1 = r0 + tile_q
+    if mask.kind is MaskKind.CAUSAL_INCLUSIVE:
+        full = (r0 + 1) // tile_k                     # tiles with c1 - 1 <= r0
+        first_skip = (r1 - 1) // tile_k + 1           # first tj with c0 > r1 - 1
+    else:
+        full = r0 // tile_k                           # tiles with c1 <= r0
+        first_skip = (r1 - 2 + tile_k) // tile_k      # first tj with c0 >= r1 - 1
+    n_full = int(np.minimum(full, grid_cols).sum())
+    n_skip = int((grid_cols - np.minimum(first_skip, grid_cols)).sum())
     return TileCensus(n_full, total - n_full - n_skip, n_skip)
 
 

@@ -11,9 +11,10 @@ a device gets its next block: the serial one runs the devices one after
 another and reads the block straight from the partitioned batch; the
 threaded one runs one worker per device, connected by ordered
 point-to-point queues. Each device's floating-point accumulation order is
-fixed (rounds in order, tiles row-major within a round), so the two are
-bit-identical. Work counters come from the closed form
-(``schedule_work_stats``), never from the numerics.
+fixed (rounds in order, row chunks of ``_CHUNK_ROWS`` in order within a
+round, independent of the modelled tile), so the two are bit-identical.
+The modelled tile only drives the work counters, which come from the
+closed form (``schedule_work_stats``), never from the numerics.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
+    MaskKind,
+    MaskSpec,
     SoftmaxAccumulator,
-    TileClass,
     accumulate_tile,
     check_sequence,
     check_tiling,
-    classify_tiles,
     finalize,
     get_mask_ring,
     get_mask_striped,
@@ -42,6 +43,11 @@ from .attention import (
 from .layout import Algo, Layout, PermutedBatch, check_split
 
 _CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
+# Query rows per numeric fold: how this machine computes, not the modelled
+# hardware tile. A chunk's float64 scores against a 1024-key block take
+# 1 MB at 128 rows and fit a 2 MB L2; at 256 rows and above the n=4096
+# schedule ran no faster than folding once per 64x64 tile.
+_CHUNK_ROWS = 128
 
 
 @dataclass
@@ -114,29 +120,43 @@ def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
     return get_mask_striped(j, k, c, n_devices=n_devices)
 
 
+def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
+    """Fold one held K/V block into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
+
+    A triangular mask lets rows [r0, r1) see only keys [0, r1 - 1 + shift)
+    (shift 1 with the diagonal, 0 without), so each chunk is contracted
+    against that slab alone and only the slab's mask is built. Rows with
+    no allowed key in it are left untouched by ``accumulate_tile``.
+    """
+    if mask.kind is MaskKind.FULLY_MASKED:
+        return
+    shift = 1 if mask.kind is MaskKind.CAUSAL_INCLUSIVE else 0
+    for r0 in range(0, mask.block_rows, _CHUNK_ROWS):
+        r1 = min(r0 + _CHUNK_ROWS, mask.block_rows)
+        rows = acc.rows(r0, r1)
+        if mask.kind is MaskKind.FULLY_UNMASKED:
+            accumulate_tile(rows, q_block[r0:r1], k_block, v_block)
+            continue
+        width = r1 - 1 + shift
+        if width > 0:
+            accumulate_tile(
+                rows, q_block[r0:r1], k_block[:width], v_block[:width],
+                mask.allowed_block(r0, r1, 0, width),
+            )
+
+
 def _device_rounds(config: SimConfig, j: int, q_block, kv, exchange) -> np.ndarray:
     """Device j's whole schedule; returns its normalized output block.
 
     ``kv`` is the (K, V) block the device starts with, its own. Round i
-    folds the held block, (j - i) mod N, tile by tile in row-major order;
-    then ``exchange(j, i, kv)`` hands back the block held in round i + 1.
+    folds the held block, (j - i) mod N, with ``_fold_block``; then
+    ``exchange(j, i, kv)`` hands back the block held in round i + 1.
     """
     n, c = config.n_devices, config.block_size
-    tq, tk = config.tile_q, config.tile_k
     acc = SoftmaxAccumulator.fresh(c, kv[1].shape[1], config.dtype)
     for i in range(n):
-        k_block, v_block = kv
         mask = _block_mask(config.algo, j, (j - i) % n, c, n)
-        for ti, grid_row in enumerate(classify_tiles(mask, tq, tk)):
-            r0, r1 = ti * tq, (ti + 1) * tq
-            for tj, cls in enumerate(grid_row):
-                if cls is TileClass.SKIP:
-                    continue
-                c0, c1 = tj * tk, (tj + 1) * tk
-                allowed = mask.allowed_block(r0, r1, c0, c1) if cls is TileClass.PARTIAL else None
-                accumulate_tile(
-                    acc.rows(r0, r1), q_block[r0:r1], k_block[c0:c1], v_block[c0:c1], allowed
-                )
+        _fold_block(acc, mask, q_block, *kv)
         if i + 1 < n:
             kv = exchange(j, i, kv)
     return finalize(acc)
@@ -311,14 +331,14 @@ class SimRun:
 def simulate(config: SimConfig, inputs=None) -> SimRun:
     """Generate (or take) Q/K/V, partition, run the schedule, reassemble.
 
-    Given inputs are cast to the config's precision and must be finite.
+    Given inputs must be real; they are cast to the config's precision
+    and must then be finite.
     """
     if inputs is None:
         q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
     else:
         q, k, v = (
-            check_sequence(name, np.asarray(x, dtype=config.dtype))
-            for name, x in zip("QKV", inputs)
+            check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", inputs)
         )
     layout = make_layout(config)
     q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q

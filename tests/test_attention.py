@@ -73,6 +73,14 @@ def test_oracle_rejects_bad_inputs():
         oracle_causal_attention(bad, q, q)
 
 
+@pytest.mark.parametrize("which", range(3))
+def test_oracle_rejects_complex_inputs(which):
+    inputs = [np.ones((4, 3)) for _ in range(3)]
+    inputs[which] = inputs[which] * (1 + 5j)
+    with pytest.raises(ValueError, match="must be real"):
+        oracle_causal_attention(*inputs)
+
+
 def test_dense_weights_are_normalized_and_causal():
     # Reconstruct the attention weights the oracle implies and check each row
     # sums to 1 with exact zeros above the diagonal.

@@ -63,6 +63,15 @@ def test_simulate_rejects_non_finite_inputs(which, bad):
         simulate(config, inputs)
 
 
+@pytest.mark.parametrize("which", range(3))
+def test_simulate_rejects_complex_inputs(which):
+    config = SimConfig(algo=Algo.STRIPED, n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
+    inputs = list(random_qkv(8, 4, 0))
+    inputs[which] = inputs[which] * (1 + 5j)
+    with pytest.raises(ValueError, match="must be real"):
+        simulate(config, inputs)
+
+
 def test_single_precision_casts_given_inputs():
     config = SimConfig(
         algo=Algo.RING, n_devices=4, n_seq=32, d_head=8, tile_q=2, tile_k=4, seed=2,
@@ -114,6 +123,34 @@ def test_scale_flag_matches_scaled_oracle():
     assert oracle_error(run) <= 1e-12
     want = dense_causal_reference(run.q, run.k, run.v, scale=True)
     assert np.max(np.abs(run.output - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+def test_output_does_not_depend_on_the_tiling(algo):
+    # The modelled tile drives the work counters only; the numerics fold
+    # in fixed row chunks, so every tiling gives the same bytes.
+    n, n_seq = 4, 128
+    c = n_seq // n
+    outputs = {
+        simulate(
+            SimConfig(algo=algo, n_devices=n, n_seq=n_seq, d_head=8, tile_q=tq, tile_k=tk, seed=9)
+        ).output.tobytes()
+        for tq, tk in ((1, 1), (2, 4), (8, 8), (c, c))
+    }
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+@pytest.mark.parametrize("precision,tol", [("double", 1e-9), ("single", 1e-3)])
+def test_block_larger_than_a_row_chunk(algo, precision, tol):
+    # A block of two full row chunks plus a ragged remainder.
+    c = 2 * simulator._CHUNK_ROWS + 44
+    base = dict(algo=algo, n_devices=2, n_seq=2 * c, d_head=8, tile_q=c, tile_k=c, seed=3,
+                precision=precision)
+    serial = simulate(SimConfig(executor="serial", **base))
+    threaded = simulate(SimConfig(executor="threads", **base))
+    assert oracle_error(serial) <= tol
+    assert threaded.output.tobytes() == serial.output.tobytes()
 
 
 # ---------------------------------------------------------------------------
