@@ -4,48 +4,32 @@ Executes the N-round ring schedule over simulated devices under two token
 layouts (contiguous blocks and modulo-N stripes), proves both exact against
 a dense reference, accounts per-device work at tile granularity, and
 reproduces reference speedup tables with a matmul-FLOP cost model.
+
+The names below are the API the command line is built on. Masks, tile
+classification and the streaming-softmax accumulator live in
+``ringsim.attention``; the schedule's executors in ``ringsim.simulator``.
 """
 
-from .attention import (
-    MaskKind,
-    MaskSpec,
-    SoftmaxAccumulator,
-    TileCensus,
-    TileClass,
-    accumulate_tile,
-    classify_tiles,
-    finalize,
-    get_mask_ring,
-    get_mask_striped,
-    oracle_causal_attention,
-    tile_census,
-)
+from .attention import oracle_causal_attention
 from .costmodel import (
     PRESETS,
-    GoldenDelta,
-    GoldenRow,
+    SPEEDUP_TOLERANCE,
     ModelPreset,
     TmsQuery,
-    TmsRow,
     compare_golden,
     golden_rows,
     load_preset,
     tms,
-    tms_table,
-    work,
 )
-from .layout import Layout, PermutedBatch, Scheme, Shard
+from .layout import Algo, Layout
 from .simulator import (
-    Algo,
+    ORACLE_TOLERANCE,
     RoundStats,
     SimConfig,
     SimRun,
     WorkStats,
-    make_layout,
+    critical_path_sum,
     oracle_error,
-    random_qkv,
-    round_critical_path,
-    run_schedule,
     schedule_work_stats,
     simulate,
     simulated_speedup,
@@ -56,46 +40,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algo",
-    "GoldenDelta",
-    "GoldenRow",
     "Layout",
-    "MaskKind",
-    "MaskSpec",
     "ModelPreset",
+    "ORACLE_TOLERANCE",
     "PRESETS",
-    "PermutedBatch",
     "PropertyResult",
     "RoundStats",
-    "Scheme",
-    "Shard",
+    "SPEEDUP_TOLERANCE",
     "SimConfig",
     "SimRun",
-    "SoftmaxAccumulator",
-    "TileCensus",
-    "TileClass",
     "TmsQuery",
-    "TmsRow",
     "WorkStats",
-    "accumulate_tile",
-    "classify_tiles",
     "compare_golden",
-    "finalize",
-    "get_mask_ring",
-    "get_mask_striped",
+    "critical_path_sum",
     "golden_rows",
     "load_preset",
-    "make_layout",
     "oracle_causal_attention",
     "oracle_error",
-    "random_qkv",
-    "round_critical_path",
     "run_checks",
-    "run_schedule",
     "schedule_work_stats",
     "simulate",
     "simulated_speedup",
-    "tile_census",
     "tms",
-    "tms_table",
-    "work",
 ]

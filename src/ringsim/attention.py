@@ -25,13 +25,20 @@ def check_sequence(name: str, x, dtype=None) -> np.ndarray:
     """Coerce to a real float matrix and enforce: 2-D, non-empty, all finite.
 
     Complex input is rejected, not cast, so no imaginary part is dropped.
-    ``dtype`` casts to that float type before the checks; by default
-    float32 and float64 pass through and anything else becomes float64.
+    ``dtype`` casts to that float type before the checks, after making
+    sure no finite entry lies beyond its range; by default float32 and
+    float64 pass through and anything else becomes float64.
     """
     arr = np.asarray(x)
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
     if dtype is not None:
+        limit = np.finfo(dtype).max
+        if arr.dtype.kind == "f" and (np.isfinite(arr) & (np.abs(arr) > limit)).any():
+            raise ValueError(
+                f"{name} has finite entries beyond the {np.dtype(dtype).name} range "
+                f"(|x| > {limit:.4g}); casting would overflow them to inf"
+            )
         arr = arr.astype(dtype, copy=False)
     elif arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
@@ -95,9 +102,6 @@ class MaskSpec:
         rows = np.arange(r0, r1)[:, None]
         cols = np.arange(c0, c1)[None, :]
         return cols <= rows if self.kind is MaskKind.CAUSAL_INCLUSIVE else cols < rows
-
-    def materialize(self) -> np.ndarray:
-        return self.allowed_block()
 
     def count_allowed(self, r0=0, r1=None, c0=0, c1=None) -> int:
         """Number of allowed pairs in a sub-block, in closed form."""

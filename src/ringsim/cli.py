@@ -22,17 +22,16 @@ from .costmodel import (
     tms,
 )
 from .simulator import (
+    ORACLE_TOLERANCE,
     Algo,
     SimConfig,
     WorkStats,
+    critical_path_sum,
     oracle_error,
-    round_critical_path,
     simulate,
     simulated_speedup,
 )
 from .verify import run_checks
-
-ORACLE_TOLERANCE = {"double": 1e-9, "single": 1e-3}
 
 # One row per device per round; header mandatory, UTF-8, newline-terminated.
 STATS_CSV_HEADER = [
@@ -66,7 +65,7 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def build_report(configs: dict[Algo, SimConfig]) -> RunReport:
+def build_report(configs: dict[Algo, SimConfig], with_oracle: bool) -> RunReport:
     first = next(iter(configs.values()))
     label = (
         f"devices={first.n_devices} seq_len={first.n_seq} d_head={first.d_head} "
@@ -77,11 +76,8 @@ def build_report(configs: dict[Algo, SimConfig]) -> RunReport:
     for algo, config in configs.items():
         run = simulate(config)
         report.stats[algo.value] = run.stats
-        rounds = len(run.stats)
-        report.critical_sums[algo.value] = sum(
-            round_critical_path(run.stats, i) for i in range(rounds)
-        )
-        if config.check_oracle:
+        report.critical_sums[algo.value] = critical_path_sum(run.stats)
+        if with_oracle:
             report.oracle_errors[algo.value] = oracle_error(run)
     if len(configs) == 2:
         report.speedup = simulated_speedup(report.stats["ring"], report.stats["striped"])
@@ -160,7 +156,6 @@ def cmd_simulate(args) -> int:
                 seed=args.seed,
                 precision=args.precision,
                 scale=args.scale,
-                check_oracle=args.check_oracle,
                 executor=args.executor,
             )
             for algo in algos
@@ -168,7 +163,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    report = build_report(configs)
+    report = build_report(configs, with_oracle=args.with_oracle)
     _print_report(report, args.precision)
     if args.csv:
         _write_stats_csv(args.csv, [(a, report.stats[a]) for a in report.algos])
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=["single", "double"], default="double")
     p.add_argument("--scale", action="store_true", help="apply 1/sqrt(d_head) to scores")
     p.add_argument("--executor", choices=["serial", "threads"], default="serial")
-    p.add_argument("--check-oracle", action="store_true",
+    p.add_argument("--check-oracle", action="store_true", dest="with_oracle",
                    help="compare the reassembled output against the dense reference")
     p.add_argument("--csv", metavar="PATH", help="write per-device per-round stats")
     p.set_defaults(func=cmd_simulate)

@@ -9,6 +9,12 @@ the ratio of weighted critical-path FLOPs, treating communication as fully
 hidden behind compute. Attention FLOPs can be weighted (e.g. 2x) to model
 hardware that executes them in a costlier precision than the rest.
 
+The causal fraction of each schedule, its critical-path pairwise work over
+the unmasked work, is exact at the finite block size c = n_seq / sp: it
+is the simulator's ``critical_path_required``, counted from the same block
+masks the schedule runs. As c grows the fractions tend to (sp - 0.5) / sp
+for the contiguous layout and 1/2 for the striped one.
+
 The reference speedup tables this model reproduces are transcribed in
 ``data/tms_appendix.csv``; ``compare_golden`` recomputes every row.
 """
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .attention import get_mask_striped
-from .layout import check_split
+from .layout import Algo, check_split
+from .simulator import critical_path_required
 
 _GOLDEN_RESOURCE = "data/tms_appendix.csv"
 PRESET_FIELDS = ("n_vocab", "d_model", "d_ff", "n_layer", "n_head")
@@ -81,18 +87,6 @@ def attention_flops_per_token(preset: ModelPreset, n_seq: int) -> float:
     return 4.0 * n_seq * preset.d_model
 
 
-def causal_fraction_ring(sp: int) -> float:
-    """Fraction of the unmasked pairwise work on the contiguous schedule's
-    critical path: the first round is half-masked, every later round is
-    pinned by some fully unmasked block."""
-    if sp < 2:
-        raise ValueError(f"sp must be at least 2, got {sp}")
-    return (sp - 0.5) / sp
-
-
-CAUSAL_FRACTION_STRIPED = 0.5  # every striped round stays close to half-masked
-
-
 @dataclass(frozen=True)
 class TmsQuery:
     preset: ModelPreset
@@ -106,12 +100,6 @@ class TmsQuery:
             raise ValueError(f"flop_weight must be positive, got {self.flop_weight}")
 
 
-def work(i: int, j: int, c: int) -> int:
-    """Pairwise interactions one striped device computes for query stripe i
-    against key stripe j; the diagonal is included only when i >= j."""
-    return get_mask_striped(i, j, c).count_allowed()
-
-
 def tms(query: TmsQuery) -> float:
     """Best-case striped-over-ring speedup for a whole training step.
 
@@ -121,29 +109,12 @@ def tms(query: TmsQuery) -> float:
     """
     other = non_attention_flops_per_token(query.preset)
     attn = query.flop_weight * attention_flops_per_token(query.preset, query.n_seq)
-    return (other + attn * causal_fraction_ring(query.sp)) / (
-        other + attn * CAUSAL_FRACTION_STRIPED
+    c = query.n_seq // query.sp
+    ring, striped = (
+        critical_path_required(algo, query.sp, c) / (query.sp * c * c)
+        for algo in (Algo.RING, Algo.STRIPED)
     )
-
-
-@dataclass(frozen=True)
-class TmsRow:
-    model: str
-    mesh: tuple[int, int]  # (model-parallel, sequence-parallel); mp is a label only
-    n_seq: int
-    tms: float             # rounded to 2 decimals
-
-
-def tms_table(presets, seq_lens, meshes, flop_weight: float) -> list[TmsRow]:
-    """Batch driver over ``tms``: one row per (preset, mesh, n_seq)."""
-    rows = []
-    for preset in presets:
-        for mesh in meshes:
-            mp, sp = mesh
-            for n_seq in seq_lens:
-                value = tms(TmsQuery(preset, n_seq, sp, flop_weight))
-                rows.append(TmsRow(preset.name, (mp, sp), n_seq, round(value, 2)))
-    return rows
+    return (other + attn * ring) / (other + attn * striped)
 
 
 @dataclass(frozen=True)

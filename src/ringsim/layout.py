@@ -20,15 +20,11 @@ import numpy as np
 class Algo(enum.Enum):
     """Token layout, and with it the schedule's block masks.
 
-    ``RING`` is the contiguous layout; ``CONTIGUOUS`` names the same member.
+    ``RING`` is the contiguous layout.
     """
 
     RING = "ring"
     STRIPED = "striped"
-    CONTIGUOUS = "ring"
-
-
-Scheme = Algo
 
 
 def check_split(n_seq: int, n_devices: int) -> int:

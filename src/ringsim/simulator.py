@@ -61,7 +61,6 @@ class SimConfig:
     seed: int = 0
     precision: str = "double"  # "double" | "single"
     scale: bool = False        # apply 1/sqrt(d_head) to scores
-    check_oracle: bool = False
     executor: str = "serial"   # "serial" | "threads"
 
     def __post_init__(self):
@@ -297,6 +296,30 @@ def round_critical_path(stats: Sequence[WorkStats], round_i: int) -> int:
     return max(ws.rounds[round_i].interactions_computed for ws in stats)
 
 
+def critical_path_sum(stats: Sequence[WorkStats]) -> int:
+    """Sum over rounds of ``round_critical_path``: the schedule's latency proxy."""
+    if not stats:
+        raise ValueError("no per-device stats")
+    return sum(round_critical_path(stats, i) for i in range(len(stats[0].rounds)))
+
+
+def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
+    """``critical_path_sum`` of the required interactions at 1x1 tiles, in O(1).
+
+    Round 0 holds only own blocks (k = j). Every later round i holds
+    blocks with k < j (devices j >= i) and with k > j (devices j < i),
+    and both mask families depend only on how k compares with j, so
+    blocks (1, 0) and (0, 1) stand for all of them.
+    """
+    algo = Algo(algo) if isinstance(algo, str) else algo
+    check_split(n_devices * block_size, n_devices)
+
+    def required(j: int, k: int) -> int:
+        return _block_mask(algo, j, k, block_size, n_devices).count_allowed()
+
+    return required(0, 0) + (n_devices - 1) * max(required(1, 0), required(0, 1))
+
+
 def simulated_speedup(ring_stats: Sequence[WorkStats], striped_stats: Sequence[WorkStats]) -> float:
     """Critical-path sum of the contiguous run over the striped run."""
     for name, stats in (("ring", ring_stats), ("striped", striped_stats)):
@@ -308,10 +331,7 @@ def simulated_speedup(ring_stats: Sequence[WorkStats], striped_stats: Sequence[W
         )
     if ring_stats[0].rounds[0].tiles_total != striped_stats[0].rounds[0].tiles_total:
         raise ValueError("tiling mismatch between the two runs")
-    rounds = len(ring_stats)
-    ring_total = sum(round_critical_path(ring_stats, i) for i in range(rounds))
-    striped_total = sum(round_critical_path(striped_stats, i) for i in range(rounds))
-    return ring_total / striped_total
+    return critical_path_sum(ring_stats) / critical_path_sum(striped_stats)
 
 
 @dataclass
@@ -345,6 +365,10 @@ def simulate(config: SimConfig, inputs=None) -> SimRun:
     batch = layout.partition(q_in, k, v)
     outputs, stats = run_schedule(config, batch)
     return SimRun(config, q, k, v, layout, outputs, stats, layout.gather(outputs))
+
+
+# Max abs error against the dense oracle that a run may show, per precision.
+ORACLE_TOLERANCE = {"double": 1e-9, "single": 1e-3}
 
 
 def oracle_error(run: SimRun) -> float:

@@ -23,9 +23,7 @@ from .attention import (
     tile_census,
 )
 from .costmodel import SPEEDUP_TOLERANCE, compare_golden
-from .simulator import Algo, SimConfig, oracle_error, simulate
-
-EXACTNESS_TOL = 1e-9  # double-precision gate on the reassembled output
+from .simulator import ORACLE_TOLERANCE, Algo, SimConfig, oracle_error, simulate
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,14 @@ def check_masks() -> PropertyResult:
             for k in range(n):
                 want_ring = (k * c + y) <= (j * c + x)
                 want_striped = (k + y * n) <= (j + x * n)
-                if not np.array_equal(get_mask_ring(j, k, c, n_devices=n).materialize(), want_ring):
+                if not np.array_equal(
+                    get_mask_ring(j, k, c, n_devices=n).allowed_block(), want_ring
+                ):
                     return PropertyResult(
                         "mask-exhaustive", False, f"ring mask wrong at N={n} c={c} j={j} k={k}"
                     )
                 if not np.array_equal(
-                    get_mask_striped(j, k, c, n_devices=n).materialize(), want_striped
+                    get_mask_striped(j, k, c, n_devices=n).allowed_block(), want_striped
                 ):
                     return PropertyResult(
                         "mask-exhaustive", False, f"striped mask wrong at N={n} c={c} j={j} k={k}"
@@ -60,14 +60,18 @@ def check_masks() -> PropertyResult:
 
 
 def check_tiles() -> PropertyResult:
-    """Tile classes, censuses and pair counts vs enumeration, blocks <= 64x64."""
+    """Tile classes, censuses and pair counts vs enumeration, blocks <= 64x64.
+
+    The dense mask is summed tile by tile in one reshape; every tile's
+    class and ``count_allowed`` are then compared with those sums.
+    """
     def fail(msg: str) -> PropertyResult:
         return PropertyResult("tile-conservation", False, msg)
 
     for kind in MaskKind:
         for rows, cols in ((8, 8), (16, 48), (64, 64), (30, 12)):
             mask = MaskSpec(kind, rows, cols)
-            dense = mask.materialize()
+            dense = mask.allowed_block()
             for tq in (1, 2, rows):
                 if rows % tq:
                     continue
@@ -75,24 +79,24 @@ def check_tiles() -> PropertyResult:
                     if cols % tk:
                         continue
                     case = f"{kind.value} block {rows}x{cols} tiles {tq}x{tk}"
-                    grid = classify_tiles(mask, tq, tk)
+                    sums = dense.reshape(rows // tq, tq, cols // tk, tk).sum(axis=(1, 3))
                     census = tile_census(mask, tq, tk)
                     counts = dict.fromkeys(TileClass, 0)
-                    for ti, grid_row in enumerate(grid):
-                        for tj, cls in enumerate(grid_row):
+                    grid = classify_tiles(mask, tq, tk)
+                    for ti, (grid_row, sum_row) in enumerate(zip(grid, sums.tolist())):
+                        for tj, (cls, n_pairs) in enumerate(zip(grid_row, sum_row)):
                             counts[cls] += 1
-                            tile = dense[ti * tq:(ti + 1) * tq, tk * tj:tk * (tj + 1)]
                             want = (
                                 TileClass.SKIP
-                                if not tile.any()
-                                else TileClass.FULL if tile.all() else TileClass.PARTIAL
+                                if n_pairs == 0
+                                else TileClass.FULL if n_pairs == tq * tk else TileClass.PARTIAL
                             )
                             if cls is not want:
                                 return fail(f"{case} tile ({ti},{tj}): {cls.value} != {want.value}")
                             n_allowed = mask.count_allowed(
                                 ti * tq, (ti + 1) * tq, tj * tk, (tj + 1) * tk
                             )
-                            if n_allowed != int(tile.sum()):
+                            if n_allowed != n_pairs:
                                 return fail(f"{case} tile ({ti},{tj}): count_allowed mismatch")
                     if (census.n_full, census.n_partial, census.n_skip) != (
                         counts[TileClass.FULL],
@@ -147,12 +151,13 @@ def check_exactness(quick: bool = False) -> tuple[PropertyResult, PropertyResult
             )
         n_runs += 1
         worst = max(worst, err)
-        if err > EXACTNESS_TOL:
+        tol = ORACLE_TOLERANCE[config.precision]
+        if err > tol:
             return (
                 PropertyResult(
                     "exactness-sweep",
                     False,
-                    f"{label}: max abs err {err:.3e} > {EXACTNESS_TOL:.0e}",
+                    f"{label}: max abs err {err:.3e} > {tol:.0e}",
                 ),
                 PropertyResult("coverage-conservation", False, "not evaluated (exactness failed)"),
             )

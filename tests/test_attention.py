@@ -9,6 +9,7 @@ from ringsim.attention import (
     SoftmaxAccumulator,
     TileClass,
     accumulate_tile,
+    check_sequence,
     classify_tiles,
     finalize,
     get_mask_ring,
@@ -73,6 +74,17 @@ def test_oracle_rejects_bad_inputs():
         oracle_causal_attention(bad, q, q)
 
 
+def test_check_sequence_names_float32_overflow():
+    big = np.array([[1.0, 1e300]])
+    with pytest.raises(ValueError, match="Q has finite entries beyond the float32 range"):
+        check_sequence("Q", big, dtype=np.float32)
+    assert check_sequence("Q", big).dtype == np.float64  # in range for float64
+    edge = np.array([[float(np.finfo(np.float32).max)]])
+    assert np.isfinite(check_sequence("Q", edge, dtype=np.float32)).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        check_sequence("Q", np.array([[np.inf]]), dtype=np.float32)
+
+
 @pytest.mark.parametrize("which", range(3))
 def test_oracle_rejects_complex_inputs(which):
     inputs = [np.ones((4, 3)) for _ in range(3)]
@@ -104,7 +116,7 @@ def test_ring_mask_examples():
     assert get_mask_ring(3, 1, 4).kind is MaskKind.FULLY_UNMASKED
     diag = get_mask_ring(2, 2, 2)
     assert diag.kind is MaskKind.CAUSAL_INCLUSIVE
-    np.testing.assert_array_equal(diag.materialize(), [[True, False], [True, True]])
+    np.testing.assert_array_equal(diag.allowed_block(), [[True, False], [True, True]])
 
 
 def test_striped_mask_examples():
@@ -112,13 +124,13 @@ def test_striped_mask_examples():
     above = get_mask_striped(1, 3, 3)
     assert above.kind is MaskKind.CAUSAL_EXCLUSIVE
     np.testing.assert_array_equal(
-        above.materialize(), [[False, False, False], [True, False, False], [True, True, False]]
+        above.allowed_block(), [[False, False, False], [True, False, False], [True, True, False]]
     )
     # queries at 3,7,11 vs keys at 1,5,9
     below = get_mask_striped(3, 1, 3)
     assert below.kind is MaskKind.CAUSAL_INCLUSIVE
     np.testing.assert_array_equal(
-        below.materialize(), [[True, False, False], [True, True, False], [True, True, True]]
+        below.allowed_block(), [[True, False, False], [True, True, False], [True, True, True]]
     )
     for j in range(4):
         assert get_mask_striped(j, j, 5).kind is MaskKind.CAUSAL_INCLUSIVE
@@ -143,10 +155,10 @@ def test_masks_match_position_arithmetic_exhaustively(n, c):
             want_ring = (k * c + y) <= (j * c + x)
             want_striped = (k + y * n) <= (j + x * n)
             np.testing.assert_array_equal(
-                get_mask_ring(j, k, c, n_devices=n).materialize(), want_ring
+                get_mask_ring(j, k, c, n_devices=n).allowed_block(), want_ring
             )
             np.testing.assert_array_equal(
-                get_mask_striped(j, k, c, n_devices=n).materialize(), want_striped
+                get_mask_striped(j, k, c, n_devices=n).allowed_block(), want_striped
             )
 
 
@@ -182,7 +194,7 @@ def test_classify_tiles_rejects_ragged_tiling():
 @pytest.mark.parametrize("rows,cols", [(8, 8), (16, 48), (64, 64), (30, 12)])
 def test_tile_conservation_against_enumeration(kind, rows, cols):
     mask = MaskSpec(kind, rows, cols)
-    dense = mask.materialize()
+    dense = mask.allowed_block()
     tilings = [
         (tq, tk)
         for tq, tk in itertools.product((1, 2, 5, rows), (1, 3, 4, cols))
@@ -230,7 +242,7 @@ def test_one_shot_accumulation_equals_oracle():
     q, k, v = _causal_inputs(12, 6, 4, 0)
     mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 12, 12)
     state = SoftmaxAccumulator.fresh(12, 4)
-    accumulate_tile(state, q, k, v, mask.materialize())
+    accumulate_tile(state, q, k, v, mask.allowed_block())
     got = finalize(state)
     want = oracle_causal_attention(q, k, v)
     assert np.max(np.abs(got - want)) <= 1e-12

@@ -3,12 +3,15 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from ringsim import verify
 from ringsim.attention import MaskKind, MaskSpec
 from ringsim.cli import STATS_CSV_HEADER, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_simulate_both_with_oracle_check(capsys):
@@ -21,6 +24,16 @@ def test_simulate_both_with_oracle_check(capsys):
     assert out.count("oracle max abs error") == 2
     assert "OK" in out
     assert "simulated speedup" in out
+
+
+def test_simulate_stdout_matches_fixture(capsys):
+    code = main(
+        "simulate --algo both --devices 4 --seq-len 64 --tile-q 4 --tile-k 8 "
+        "--check-oracle".split()
+    )
+    assert code == 0
+    want = (DATA / "simulate_both_oracle.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_simulate_rejects_non_dividing_devices(capsys):
@@ -94,6 +107,13 @@ def test_tms_golden_comparison(capsys):
     assert code == 0
     assert "compared 137 rows" in out
     assert "0 outside" in out
+
+
+def test_tms_golden_output_matches_fixture(capsys):
+    with resources.as_file(resources.files("ringsim").joinpath("data/tms_appendix.csv")) as p:
+        assert main(["tms", "--golden", str(p)]) == 0
+    want = (DATA / "tms_golden.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_tms_golden_detects_bad_rows(capsys, tmp_path):

@@ -3,36 +3,24 @@ import json
 import pytest
 
 from ringsim.costmodel import (
-    CAUSAL_FRACTION_STRIPED,
     PRESETS,
     SPEEDUP_TOLERANCE,
     ModelPreset,
     TmsQuery,
     attention_flops_per_token,
-    causal_fraction_ring,
     compare_golden,
     golden_rows,
     load_preset,
     non_attention_flops_per_token,
     tms,
-    tms_table,
-    work,
 )
+from ringsim.simulator import Algo, critical_path_required
 
 
 def test_builtin_presets():
     assert PRESETS["1b"] == ModelPreset("1b", 32000, 2048, 5504, 22, 16)
     assert PRESETS["3b"] == ModelPreset("3b", 32000, 3200, 8640, 26, 32)
     assert PRESETS["7b"] == ModelPreset("7b", 32000, 4096, 11008, 32, 32)
-
-
-def test_work_formula():
-    assert work(2, 1, 4) == 10
-    assert work(1, 2, 4) == 6
-    assert work(3, 3, 1) == 1
-    assert work(0, 1, 1) == 0
-    with pytest.raises(ValueError):
-        work(0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -75,9 +63,11 @@ def test_tms_is_scale_free():
     query = TmsQuery(preset, 65536, 4, 2.0)
     other = non_attention_flops_per_token(preset)
     attn = attention_flops_per_token(preset, 65536)
+    c = 65536 // 4
+    ring, striped = (critical_path_required(algo, 4, c) / (4 * c * c) for algo in Algo)
     for scale in (1.0, 137.0, 1e-6):
-        numerator = scale * other + 2.0 * scale * attn * causal_fraction_ring(4)
-        denominator = scale * other + 2.0 * scale * attn * CAUSAL_FRACTION_STRIPED
+        numerator = scale * other + 2.0 * scale * attn * ring
+        denominator = scale * other + 2.0 * scale * attn * striped
         assert numerator / denominator == pytest.approx(tms(query), rel=1e-12)
 
 
@@ -92,13 +82,8 @@ def test_tms_query_validation():
 
 
 def test_tms_table_reproduces_reference_column():
-    rows = tms_table(
-        [PRESETS["1b"]],
-        [16384, 32768, 65536, 98304, 131072, 196608, 262144],
-        [(2, 4)],
-        2.0,
-    )
-    got = [(row.n_seq, row.tms) for row in rows]
+    seqs = [16384, 32768, 65536, 98304, 131072, 196608, 262144]
+    got = [(n, round(tms(TmsQuery(PRESETS["1b"], n, 4, 2.0)), 2)) for n in seqs]
     assert got == [
         (16384, 1.46),
         (32768, 1.57),
@@ -108,12 +93,6 @@ def test_tms_table_reproduces_reference_column():
         (196608, 1.71),
         (262144, 1.72),
     ]
-    assert all(row.model == "1b" and row.mesh == (2, 4) for row in rows)
-
-
-def test_tms_table_empty_inputs():
-    assert tms_table([], [16384], [(1, 2)], 2.0) == []
-    assert tms_table([PRESETS["1b"]], [], [(1, 2)], 2.0) == []
 
 
 def test_golden_table_loads_and_matches():

@@ -2,29 +2,29 @@ import numpy as np
 import pytest
 
 from ringsim.attention import oracle_causal_attention
-from ringsim.layout import Layout, Scheme
+from ringsim.layout import Algo, Layout
 
 from helpers import dense_masked_reference
 
-# RING is also named CONTIGUOUS; the ids keep the layout's own name for it.
+# The ids keep the names these tests had before the layout enum was merged.
 SCHEMES = pytest.mark.parametrize(
-    "scheme", list(Scheme), ids=["Scheme.CONTIGUOUS", "Scheme.STRIPED"]
+    "scheme", list(Algo), ids=["Scheme.CONTIGUOUS", "Scheme.STRIPED"]
 )
 
 
 def test_global_of_striped_examples():
-    layout = Layout(Scheme.STRIPED, 16, 4)
+    layout = Layout(Algo.STRIPED, 16, 4)
     assert [layout.global_of(0, x) for x in range(4)] == [0, 4, 8, 12]
     assert layout.global_of(1, 2) == 9
 
 
 def test_global_of_contiguous_example():
-    layout = Layout(Scheme.CONTIGUOUS, 16, 4)
+    layout = Layout(Algo.RING, 16, 4)
     assert layout.global_of(2, 3) == 11
 
 
 def test_global_of_range_checks():
-    layout = Layout(Scheme.STRIPED, 16, 4)
+    layout = Layout(Algo.STRIPED, 16, 4)
     with pytest.raises(ValueError):
         layout.global_of(4, 0)
     with pytest.raises(ValueError):
@@ -33,9 +33,9 @@ def test_global_of_range_checks():
 
 def test_layout_requires_even_division():
     with pytest.raises(ValueError):
-        Layout(Scheme.CONTIGUOUS, 16, 3)
+        Layout(Algo.RING, 16, 3)
     with pytest.raises(ValueError):
-        Layout(Scheme.STRIPED, 8, 1)
+        Layout(Algo.STRIPED, 8, 1)
 
 
 @SCHEMES
@@ -49,7 +49,7 @@ def test_global_of_is_a_bijection(scheme, n_devices, n_seq):
 
 
 def test_partition_striped_rows():
-    layout = Layout(Scheme.STRIPED, 4, 2)
+    layout = Layout(Algo.STRIPED, 4, 2)
     rows = np.arange(4.0)[:, None]
     batch = layout.partition(rows, rows, rows)
     np.testing.assert_array_equal(batch.shards[0].q[:, 0], [0.0, 2.0])
@@ -57,7 +57,7 @@ def test_partition_striped_rows():
 
 
 def test_partition_contiguous_rows():
-    layout = Layout(Scheme.CONTIGUOUS, 4, 2)
+    layout = Layout(Algo.RING, 4, 2)
     rows = np.arange(4.0)[:, None]
     batch = layout.partition(rows, rows, rows)
     np.testing.assert_array_equal(batch.shards[0].q[:, 0], [0.0, 1.0])
@@ -65,7 +65,7 @@ def test_partition_contiguous_rows():
 
 
 def test_gather_identity_sequence():
-    layout = Layout(Scheme.STRIPED, 16, 4)
+    layout = Layout(Algo.STRIPED, 16, 4)
     ident = np.arange(16.0)[:, None]
     batch = layout.partition(ident, ident, ident)
     np.testing.assert_array_equal(layout.gather([sh.q for sh in batch.shards]), ident)
@@ -85,7 +85,7 @@ def test_gather_inverts_partition(scheme, n_devices):
 
 
 def test_companions_ride_the_same_permutation():
-    layout = Layout(Scheme.STRIPED, 8, 2)
+    layout = Layout(Algo.STRIPED, 8, 2)
     x = np.zeros((8, 1))
     positions = np.arange(8)
     targets = np.arange(100, 108)
@@ -97,7 +97,7 @@ def test_companions_ride_the_same_permutation():
 
 
 def test_partition_and_gather_shape_errors():
-    layout = Layout(Scheme.STRIPED, 8, 2)
+    layout = Layout(Algo.STRIPED, 8, 2)
     with pytest.raises(ValueError):
         layout.partition(np.zeros((6, 2)), np.zeros((8, 2)), np.zeros((8, 2)))
     with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ def test_attention_commutes_with_the_striped_permutation(n_devices):
     # positions, then un-permute: must equal the oracle on the original order.
     rng = np.random.default_rng(17)
     n_seq = 8 * n_devices
-    layout = Layout(Scheme.STRIPED, n_seq, n_devices)
+    layout = Layout(Algo.STRIPED, n_seq, n_devices)
     q, k, v = (rng.standard_normal((n_seq, 4)) for _ in range(3))
     batch = layout.partition(q, k, v)
     qp = np.concatenate([sh.q for sh in batch.shards])

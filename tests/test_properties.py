@@ -1,6 +1,8 @@
 """Property tests: random ring sizes, block sizes, tilings and layouts
 against the dense oracle and the tile-by-tile enumeration of work."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
 from ringsim.layout import Layout  # noqa: E402
 from ringsim.simulator import (  # noqa: E402
     Algo,
     SimConfig,
+    critical_path_required,
     oracle_error,
     random_qkv,
+    round_critical_path,
     schedule_work_stats,
     simulate,
+    simulated_speedup,
 )
 
 from helpers import enumerated_work_stats  # noqa: E402
@@ -55,6 +61,30 @@ def test_required_interactions_cover_the_triangle(schedule):
     assert sum(rs.interactions_required for ws in stats for rs in ws.rounds) == (
         n_seq * (n_seq + 1) // 2
     )
+
+
+@BOUNDED
+@given(st.sampled_from(list(Algo)), st.integers(2, 16), st.integers(1, 64))
+def test_critical_path_required_equals_round_sum(algo, n, c):
+    stats = schedule_work_stats(algo, n, c, 1, 1)
+    assert critical_path_required(algo, n, c) == sum(
+        round_critical_path(stats, i) for i in range(n)
+    )
+
+
+@BOUNDED
+@given(st.integers(2, 16), st.integers(1, 64))
+def test_tms_without_other_flops_is_the_simulated_speedup(n, c):
+    # With only attention FLOPs left, the cost model's speedup is the
+    # simulator's counted one at 1x1 tiles.
+    counted = simulated_speedup(
+        schedule_work_stats(Algo.RING, n, c, 1, 1), schedule_work_stats(Algo.STRIPED, n, c, 1, 1)
+    )
+    ratio = critical_path_required(Algo.RING, n, c) / critical_path_required(Algo.STRIPED, n, c)
+    assert ratio == counted
+    with mock.patch("ringsim.costmodel.non_attention_flops_per_token", return_value=0.0):
+        modelled = tms(TmsQuery(PRESETS["1b"], n * c, n, 1.0))
+    assert modelled == pytest.approx(counted, rel=1e-12)
 
 
 @BOUNDED

@@ -72,6 +72,19 @@ def test_simulate_rejects_complex_inputs(which):
         simulate(config, inputs)
 
 
+@pytest.mark.parametrize("which", range(3))
+def test_single_precision_rejects_inputs_beyond_float32_range(which):
+    # 1e300 is finite in float64; the cast to float32 must not silently
+    # (or, under -W error, loudly) turn it into inf first.
+    config = SimConfig(
+        algo=Algo.RING, n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2, precision="single"
+    )
+    inputs = [np.array(x) for x in random_qkv(8, 4, 0)]
+    inputs[which][3, 1] = -1e300
+    with pytest.raises(ValueError, match="beyond the float32 range"):
+        simulate(config, inputs)
+
+
 def test_single_precision_casts_given_inputs():
     config = SimConfig(
         algo=Algo.RING, n_devices=4, n_seq=32, d_head=8, tile_q=2, tile_k=4, seed=2,
@@ -205,7 +218,7 @@ def test_coverage_exactly_once(algo):
     for j in range(n):
         for i in range(n):
             k = (j - i) % n
-            allowed = mask_fn(j, k, c).materialize()
+            allowed = mask_fn(j, k, c).allowed_block()
             for x, y in zip(*np.nonzero(allowed)):
                 pair = (run.layout.global_of(j, int(x)), run.layout.global_of(k, int(y)))
                 seen[pair] = seen.get(pair, 0) + 1
