@@ -10,6 +10,8 @@ Conventions:
 * Sequence tensors are 2-D float matrices, one row per token.
 * Masks are indexed ``[query row x, key column y]``; an *allowed* pair
   contributes to the softmax, a masked pair is scored ``-inf``.
+* Every block mask is the line ``y <= x + diagonal``: one integer per
+  block, from which the mask, its pair counts and its tile classes follow.
 * Scores are raw dot products; pass ``scale=True`` for 1/sqrt(d).
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,23 +66,39 @@ class TileClass(enum.Enum):
     FULL = "full"        # every pair allowed; computed unmasked
 
 
+# Where each kind puts the line y <= x + diagonal in a rows x cols block.
+_DIAGONAL = {
+    MaskKind.FULLY_MASKED: lambda rows, cols: -rows,
+    MaskKind.FULLY_UNMASKED: lambda rows, cols: cols - 1,
+    MaskKind.CAUSAL_INCLUSIVE: lambda rows, cols: 0,
+    MaskKind.CAUSAL_EXCLUSIVE: lambda rows, cols: -1,
+}
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """Symbolic mask for one (query block x key block) score matrix.
 
-    The four kinds cover everything the contiguous and striped layouts can
-    produce, so skip decisions never require materializing a boolean mask.
+    Every kind is the line ``y <= x + diagonal``: the causal triangles sit
+    on the main diagonal (0) or just below it (-1), and the all-or-nothing
+    kinds move the line past a corner of the block (``block_cols - 1``
+    allows every pair, ``-block_rows`` none). ``diagonal`` is derived from
+    the kind once, so skip decisions and pair counts never need a boolean
+    mask.
     """
 
     kind: MaskKind
     block_rows: int
     block_cols: int
+    diagonal: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError(
                 f"mask block must be non-empty, got {self.block_rows}x{self.block_cols}"
             )
+        diagonal = _DIAGONAL[self.kind](self.block_rows, self.block_cols)
+        object.__setattr__(self, "diagonal", diagonal)
 
     def _bounds(self, r0, r1, c0, c1):
         r1 = self.block_rows if r1 is None else r1
@@ -95,33 +113,27 @@ class MaskSpec:
     def allowed_block(self, r0=0, r1=None, c0=0, c1=None) -> np.ndarray:
         """Boolean matrix of allowed pairs for a sub-block of the mask."""
         r0, r1, c0, c1 = self._bounds(r0, r1, c0, c1)
-        if self.kind is MaskKind.FULLY_MASKED:
-            return np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        if self.kind is MaskKind.FULLY_UNMASKED:
-            return np.ones((r1 - r0, c1 - c0), dtype=bool)
-        rows = np.arange(r0, r1)[:, None]
-        cols = np.arange(c0, c1)[None, :]
-        return cols <= rows if self.kind is MaskKind.CAUSAL_INCLUSIVE else cols < rows
+        d = self.diagonal
+        return np.arange(c0, c1) <= np.arange(r0 + d, r1 + d)[:, None]
 
     def count_allowed(self, r0=0, r1=None, c0=0, c1=None) -> int:
         """Number of allowed pairs in a sub-block, in closed form."""
         r0, r1, c0, c1 = self._bounds(r0, r1, c0, c1)
-        if self.kind is MaskKind.FULLY_MASKED:
-            return 0
-        if self.kind is MaskKind.FULLY_UNMASKED:
-            return (r1 - r0) * (c1 - c0)
-        # Triangular kinds: row x allows clamp(x + shift - c0, 0, width)
-        # keys, where shift=1 includes the diagonal and width = c1 - c0.
-        shift = 1 if self.kind is MaskKind.CAUSAL_INCLUSIVE else 0
         width = c1 - c0
-        lo = max(r0, c0 - shift + 1)              # first row with any allowed key
-        hi = min(r1 - 1, c0 + width - shift - 1)  # last row before saturation
+        if self.diagonal <= -self.block_rows:
+            return 0
+        if self.diagonal >= self.block_cols - 1:
+            return (r1 - r0) * width
+        # Row x allows clamp(x + s, 0, width) keys of the sub-block.
+        s = self.diagonal + 1 - c0
+        lo = max(r0, 1 - s)              # first row with any allowed key
+        hi = min(r1 - 1, width - s - 1)  # last row before saturation
         total = 0
         if hi >= lo:
-            a = lo + shift - c0
-            b = hi + shift - c0
+            a = lo + s
+            b = hi + s
             total += (a + b) * (b - a + 1) // 2
-        n_saturated = r1 - max(r0, c0 + width - shift)
+        n_saturated = r1 - max(r0, width - s)
         if n_saturated > 0:
             total += n_saturated * width
         return total
@@ -201,22 +213,12 @@ def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> 
     return block_rows // tile_q, block_cols // tile_k
 
 
-def _classify_bounds(kind: MaskKind, r0: int, r1: int, c0: int, c1: int) -> TileClass:
-    # Interval arithmetic against the triangular boundary; no pair scans.
-    if kind is MaskKind.FULLY_MASKED:
-        return TileClass.SKIP
-    if kind is MaskKind.FULLY_UNMASKED:
+def _classify_bounds(diagonal: int, r0: int, r1: int, c0: int, c1: int) -> TileClass:
+    # The tile's worst pair is (r0, c1 - 1) and its best (r1 - 1, c0).
+    if c1 - 1 <= r0 + diagonal:
         return TileClass.FULL
-    if kind is MaskKind.CAUSAL_INCLUSIVE:
-        if c1 - 1 <= r0:
-            return TileClass.FULL
-        if c0 > r1 - 1:
-            return TileClass.SKIP
-    else:
-        if c1 <= r0:
-            return TileClass.FULL
-        if c0 >= r1 - 1:
-            return TileClass.SKIP
+    if c0 > r1 - 1 + diagonal:
+        return TileClass.SKIP
     return TileClass.PARTIAL
 
 
@@ -228,7 +230,7 @@ def classify_tiles(mask: MaskSpec, tile_q: int, tile_k: int) -> list[list[TileCl
         r0 = ti * tile_q
         grid.append(
             [
-                _classify_bounds(mask.kind, r0, r0 + tile_q, tj * tile_k, (tj + 1) * tile_k)
+                _classify_bounds(mask.diagonal, r0, r0 + tile_q, tj * tile_k, (tj + 1) * tile_k)
                 for tj in range(grid_cols)
             ]
         )
@@ -256,18 +258,15 @@ def tile_census(mask: MaskSpec, tile_q: int, tile_k: int) -> TileCensus:
     """
     grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
     total = grid_rows * grid_cols
-    if mask.kind is MaskKind.FULLY_MASKED:
+    d = mask.diagonal
+    if d <= -mask.block_rows:
         return TileCensus(0, 0, total)
-    if mask.kind is MaskKind.FULLY_UNMASKED:
+    if d >= mask.block_cols - 1:
         return TileCensus(total, 0, 0)
+    # Between those two lines d is 0 or -1, so neither floor is negative.
     r0 = np.arange(grid_rows, dtype=np.int64) * tile_q
-    r1 = r0 + tile_q
-    if mask.kind is MaskKind.CAUSAL_INCLUSIVE:
-        full = (r0 + 1) // tile_k                     # tiles with c1 - 1 <= r0
-        first_skip = (r1 - 1) // tile_k + 1           # first tj with c0 > r1 - 1
-    else:
-        full = r0 // tile_k                           # tiles with c1 <= r0
-        first_skip = (r1 - 2 + tile_k) // tile_k      # first tj with c0 >= r1 - 1
+    full = (r0 + d + 1) // tile_k                   # tiles with c1 - 1 <= r0 + d
+    first_skip = (r0 + tile_q - 1 + d) // tile_k + 1  # first tj with c0 > r1 - 1 + d
     n_full = int(np.minimum(full, grid_cols).sum())
     n_skip = int((grid_cols - np.minimum(first_skip, grid_cols)).sum())
     return TileCensus(n_full, total - n_full - n_skip, n_skip)

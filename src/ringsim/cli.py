@@ -28,6 +28,7 @@ from .simulator import (
     WorkStats,
     critical_path_sum,
     oracle_error,
+    round_critical_path,
     simulate,
     simulated_speedup,
 )
@@ -53,9 +54,7 @@ class RunReport:
     """Everything cmd_simulate prints; fully determined by flags and seed."""
 
     label: str
-    algos: list[str]
-    stats: dict[str, list[WorkStats]]
-    critical_sums: dict[str, int]
+    stats: dict[str, list[WorkStats]]  # by algorithm name, in run order
     oracle_errors: dict[str, float] = field(default_factory=dict)
     speedup: float | None = None
 
@@ -72,11 +71,10 @@ def build_report(configs: dict[Algo, SimConfig], with_oracle: bool) -> RunReport
         f"tile={first.tile_q}x{first.tile_k} seed={first.seed} "
         f"precision={first.precision} executor={first.executor}"
     )
-    report = RunReport(label=label, algos=[a.value for a in configs], stats={}, critical_sums={})
+    report = RunReport(label=label, stats={})
     for algo, config in configs.items():
         run = simulate(config)
         report.stats[algo.value] = run.stats
-        report.critical_sums[algo.value] = critical_path_sum(run.stats)
         if with_oracle:
             report.oracle_errors[algo.value] = oracle_error(run)
     if len(configs) == 2:
@@ -86,18 +84,16 @@ def build_report(configs: dict[Algo, SimConfig], with_oracle: bool) -> RunReport
 
 def _print_report(report: RunReport, precision: str) -> None:
     print(report.label)
-    for algo in report.algos:
-        stats = report.stats[algo]
-        rounds = len(stats)
+    for algo, stats in report.stats.items():
         print(f"-- {algo} --")
         print(
             f"{'round':>5} {'critical':>10} {'computed':>11} "
             f"{'required':>11} {'skipped':>8} {'tiles':>7}"
         )
-        for i in range(rounds):
+        for i in range(len(stats)):
             per_round = [ws.rounds[i] for ws in stats]
             print(
-                f"{i:>5} {max(r.interactions_computed for r in per_round):>10} "
+                f"{i:>5} {round_critical_path(stats, i):>10} "
                 f"{sum(r.interactions_computed for r in per_round):>11} "
                 f"{sum(r.interactions_required for r in per_round):>11} "
                 f"{sum(r.tiles_skipped for r in per_round):>8} "
@@ -106,7 +102,7 @@ def _print_report(report: RunReport, precision: str) -> None:
         computed = sum(rs.interactions_computed for ws in stats for rs in ws.rounds)
         required = sum(rs.interactions_required for ws in stats for rs in ws.rounds)
         print(
-            f"totals: critical-path sum={report.critical_sums[algo]} "
+            f"totals: critical-path sum={critical_path_sum(stats)} "
             f"computed={computed} required={required}"
         )
         if algo in report.oracle_errors:
@@ -166,7 +162,7 @@ def cmd_simulate(args) -> int:
     report = build_report(configs, with_oracle=args.with_oracle)
     _print_report(report, args.precision)
     if args.csv:
-        _write_stats_csv(args.csv, [(a, report.stats[a]) for a in report.algos])
+        _write_stats_csv(args.csv, list(report.stats.items()))
         print(f"wrote per-device round stats to {args.csv}")
 
     tolerance = ORACLE_TOLERANCE[args.precision]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,9 +65,15 @@ def load_preset(path) -> ModelPreset:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"preset file {path} must hold a JSON object, got {type(raw).__name__}")
     missing = [key for key in PRESET_FIELDS if key not in raw]
     if missing:
         raise ValueError(f"preset file {path} missing keys: {', '.join(missing)}")
+    for key in PRESET_FIELDS:
+        value = raw[key]  # a JSON number; true/false load as bool and are refused
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            raise ValueError(f"preset file {path}: {key} must be a whole number, got {value!r}")
     name = str(raw.get("name", path.stem))
     return ModelPreset(name, **{key: int(raw[key]) for key in PRESET_FIELDS})
 
@@ -96,8 +103,8 @@ class TmsQuery:
 
     def __post_init__(self):
         check_split(self.n_seq, self.sp)
-        if self.flop_weight <= 0:
-            raise ValueError(f"flop_weight must be positive, got {self.flop_weight}")
+        if not 0 < self.flop_weight < math.inf:
+            raise ValueError(f"flop_weight must be positive and finite, got {self.flop_weight}")
 
 
 def tms(query: TmsQuery) -> float:

@@ -70,13 +70,9 @@ class Layout:
 
     def global_of(self, device: int, local: int) -> int:
         """Original sequence position of local row `local` on `device`."""
-        if not 0 <= device < self.n_devices:
-            raise ValueError(f"device {device} out of range (N={self.n_devices})")
         if not 0 <= local < self.block_size:
             raise ValueError(f"local index {local} out of range (block size {self.block_size})")
-        if self.scheme is Algo.RING:
-            return device * self.block_size + local
-        return device + local * self.n_devices
+        return int(self.device_globals(device)[local])
 
     def device_globals(self, device: int) -> np.ndarray:
         """All original positions owned by `device`, in local-row order."""

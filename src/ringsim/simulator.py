@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
-    MaskKind,
     MaskSpec,
     SoftmaxAccumulator,
     accumulate_tile,
@@ -64,8 +63,7 @@ class SimConfig:
     executor: str = "serial"   # "serial" | "threads"
 
     def __post_init__(self):
-        if isinstance(self.algo, str):
-            self.algo = Algo(self.algo)
+        self.algo = Algo(self.algo)
         c = check_split(self.n_seq, self.n_devices)
         if self.d_head < 1:
             raise ValueError(f"d_head must be positive, got {self.d_head}")
@@ -122,26 +120,23 @@ def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
 def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
     """Fold one held K/V block into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
 
-    A triangular mask lets rows [r0, r1) see only keys [0, r1 - 1 + shift)
-    (shift 1 with the diagonal, 0 without), so each chunk is contracted
-    against that slab alone and only the slab's mask is built. Rows with
-    no allowed key in it are left untouched by ``accumulate_tile``.
+    Row x sees keys [0, x + diagonal + 1), so rows [r0, r1) together meet
+    only the slab [0, min(r1 + diagonal, cols)): each chunk is contracted
+    against that slab alone, and its mask is built only when the chunk's
+    first row, which sees the common prefix [0, r0 + diagonal + 1), does
+    not already see the whole slab. A chunk with an empty slab is skipped;
+    rows with no allowed key in it are left untouched by ``accumulate_tile``.
     """
-    if mask.kind is MaskKind.FULLY_MASKED:
-        return
-    shift = 1 if mask.kind is MaskKind.CAUSAL_INCLUSIVE else 0
+    d = mask.diagonal
     for r0 in range(0, mask.block_rows, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, mask.block_rows)
-        rows = acc.rows(r0, r1)
-        if mask.kind is MaskKind.FULLY_UNMASKED:
-            accumulate_tile(rows, q_block[r0:r1], k_block, v_block)
+        width = min(r1 + d, mask.block_cols)
+        if width <= 0:
             continue
-        width = r1 - 1 + shift
-        if width > 0:
-            accumulate_tile(
-                rows, q_block[r0:r1], k_block[:width], v_block[:width],
-                mask.allowed_block(r0, r1, 0, width),
-            )
+        allowed = None if r0 + d + 1 >= width else mask.allowed_block(r0, r1, 0, width)
+        accumulate_tile(
+            acc.rows(r0, r1), q_block[r0:r1], k_block[:width], v_block[:width], allowed
+        )
 
 
 def _device_rounds(config: SimConfig, j: int, q_block, kv, exchange) -> np.ndarray:
@@ -260,7 +255,7 @@ def schedule_work_stats(
     blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds.
     Partial tiles are charged their whole area as computed.
     """
-    algo = Algo(algo) if isinstance(algo, str) else algo
+    algo = Algo(algo)
     if n_devices < 2:
         raise ValueError(f"need at least 2 devices, got {n_devices}")
     area = tile_q * tile_k
@@ -311,7 +306,7 @@ def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     and both mask families depend only on how k compares with j, so
     blocks (1, 0) and (0, 1) stand for all of them.
     """
-    algo = Algo(algo) if isinstance(algo, str) else algo
+    algo = Algo(algo)
     check_split(n_devices * block_size, n_devices)
 
     def required(j: int, k: int) -> int:

@@ -96,6 +96,33 @@ def test_tms_unknown_preset(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_tms_rejects_non_finite_flop_weight(capsys, weight):
+    argv = f"tms --model 1b --sp 4 --seq-len 16384 --flop-weight {weight}".split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "flop_weight must be positive and finite" in captured.err
+    assert "TMS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("5", "must hold a JSON object"),
+        ('{"n_vocab": null, "d_model": 64, "d_ff": 256, "n_layer": 2, "n_head": 4}',
+         "n_vocab must be a whole number"),
+        ('{"n_vocab": 1000, "d_model": 2048.5, "d_ff": 256, "n_layer": 2, "n_head": 4}',
+         "d_model must be a whole number"),
+    ],
+    ids=["scalar", "null", "fraction"],
+)
+def test_tms_rejects_bad_preset_file(capsys, tmp_path, text, message):
+    path = tmp_path / "preset.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["tms", "--model", str(path), "--sp", "2", "--seq-len", "4096"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tms_missing_flags(capsys):
     assert main(["tms"]) == 2
 

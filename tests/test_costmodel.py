@@ -81,6 +81,12 @@ def test_tms_query_validation():
         TmsQuery(preset, 16384, 4, 0.0)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_tms_query_rejects_non_finite_flop_weight(weight):
+    with pytest.raises(ValueError, match="flop_weight must be positive and finite"):
+        TmsQuery(PRESETS["1b"], 16384, 4, weight)
+
+
 def test_tms_table_reproduces_reference_column():
     seqs = [16384, 32768, 65536, 98304, 131072, 196608, 262144]
     got = [(n, round(tms(TmsQuery(PRESETS["1b"], n, 4, 2.0)), 2)) for n in seqs]
@@ -122,3 +128,28 @@ def test_load_preset_missing_key(tmp_path):
     path.write_text(json.dumps({"n_vocab": 1000}), encoding="utf-8")
     with pytest.raises(ValueError, match="missing keys"):
         load_preset(path)
+
+
+TINY = {"n_vocab": 1000, "d_model": 64, "d_ff": 256, "n_layer": 2, "n_head": 4}
+
+
+@pytest.mark.parametrize("payload", [5, [1, 2], "tiny", None])
+def test_load_preset_rejects_non_object(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        load_preset(path)
+
+
+@pytest.mark.parametrize("value", [None, "64", True, [64], 64.5, float("nan")])
+def test_load_preset_rejects_non_whole_values(tmp_path, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY, "d_model": value}), encoding="utf-8")
+    with pytest.raises(ValueError, match="d_model must be a whole number"):
+        load_preset(path)
+
+
+def test_load_preset_accepts_whole_floats(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**TINY, "d_model": 64.0, "n_vocab": 1e3}), encoding="utf-8")
+    assert load_preset(path) == ModelPreset("tiny", 1000, 64, 256, 2, 4)

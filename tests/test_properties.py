@@ -1,5 +1,6 @@
 """Property tests: random ring sizes, block sizes, tilings and layouts
-against the dense oracle and the tile-by-tile enumeration of work."""
+against the dense oracle and the tile-by-tile enumeration of work, and
+random sub-rectangles of every mask kind against position arithmetic."""
 
 from unittest import mock
 
@@ -10,6 +11,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ringsim.attention import (  # noqa: E402
+    MaskKind,
+    MaskSpec,
+    TileClass,
+    classify_tiles,
+    tile_census,
+)
 from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
 from ringsim.layout import Layout  # noqa: E402
 from ringsim.simulator import (  # noqa: E402
@@ -85,6 +93,64 @@ def test_tms_without_other_flops_is_the_simulated_speedup(n, c):
     with mock.patch("ringsim.costmodel.non_attention_flops_per_token", return_value=0.0):
         modelled = tms(TmsQuery(PRESETS["1b"], n * c, n, 1.0))
     assert modelled == pytest.approx(counted, rel=1e-12)
+
+
+def _raw_mask(kind, rows, cols):
+    """Allowed pairs of a block from position arithmetic alone."""
+    x = np.arange(rows)[:, None]
+    y = np.arange(cols)[None, :]
+    return {
+        MaskKind.FULLY_MASKED: np.zeros((rows, cols), dtype=bool),
+        MaskKind.FULLY_UNMASKED: np.ones((rows, cols), dtype=bool),
+        MaskKind.CAUSAL_INCLUSIVE: y <= x,
+        MaskKind.CAUSAL_EXCLUSIVE: y < x,
+    }[kind]
+
+
+@st.composite
+def sub_rectangles(draw):
+    """(kind, rows, cols, r0, r1, c0, c1): any sub-rectangle of a non-square block."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    r0 = draw(st.integers(0, rows - 1))
+    c0 = draw(st.integers(0, cols - 1))
+    return (
+        draw(st.sampled_from(list(MaskKind))),
+        rows,
+        cols,
+        r0,
+        draw(st.integers(r0 + 1, rows)),
+        c0,
+        draw(st.integers(c0 + 1, cols)),
+    )
+
+
+@settings(BOUNDED, max_examples=200)
+@given(sub_rectangles())
+def test_mask_sub_rectangles_match_position_arithmetic(rect):
+    # The fold slices slabs [r0, r1) x [0, width) that are not tile-aligned.
+    kind, rows, cols, r0, r1, c0, c1 = rect
+    mask = MaskSpec(kind, rows, cols)
+    want = _raw_mask(kind, rows, cols)[r0:r1, c0:c1]
+    assert np.array_equal(mask.allowed_block(r0, r1, c0, c1), want)
+    assert mask.count_allowed(r0, r1, c0, c1) == want.sum()
+
+
+@BOUNDED
+@given(st.sampled_from(list(MaskKind)), st.integers(1, 48), st.integers(1, 48), st.data())
+def test_tile_classes_match_dense_tile_sums(kind, rows, cols, data):
+    tile_q = data.draw(st.sampled_from([t for t in range(1, rows + 1) if rows % t == 0]))
+    tile_k = data.draw(st.sampled_from([t for t in range(1, cols + 1) if cols % t == 0]))
+    mask = MaskSpec(kind, rows, cols)
+    sums = _raw_mask(kind, rows, cols).reshape(
+        rows // tile_q, tile_q, cols // tile_k, tile_k
+    ).sum(axis=(1, 3))
+    full = np.where(sums == tile_q * tile_k, TileClass.FULL, TileClass.PARTIAL)
+    want = np.where(sums == 0, TileClass.SKIP, full)
+    assert classify_tiles(mask, tile_q, tile_k) == want.tolist()
+    census = tile_census(mask, tile_q, tile_k)
+    assert (census.n_full, census.n_partial, census.n_skip) == tuple(
+        int((want == cls).sum()) for cls in (TileClass.FULL, TileClass.PARTIAL, TileClass.SKIP)
+    )
 
 
 @BOUNDED

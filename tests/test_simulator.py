@@ -156,14 +156,16 @@ def test_output_does_not_depend_on_the_tiling(algo):
 @pytest.mark.parametrize("algo", list(Algo))
 @pytest.mark.parametrize("precision,tol", [("double", 1e-9), ("single", 1e-3)])
 def test_block_larger_than_a_row_chunk(algo, precision, tol):
-    # A block of two full row chunks plus a ragged remainder.
-    c = 2 * simulator._CHUNK_ROWS + 44
-    base = dict(algo=algo, n_devices=2, n_seq=2 * c, d_head=8, tile_q=c, tile_k=c, seed=3,
-                precision=precision)
-    serial = simulate(SimConfig(executor="serial", **base))
-    threaded = simulate(SimConfig(executor="threads", **base))
-    assert oracle_error(serial) <= tol
-    assert threaded.output.tobytes() == serial.output.tobytes()
+    # Full row chunks plus a ragged remainder: two chunks and 44 rows, and
+    # one chunk and a single row, which sees its whole key slab and is
+    # folded without a mask.
+    for c in (2 * simulator._CHUNK_ROWS + 44, simulator._CHUNK_ROWS + 1):
+        base = dict(algo=algo, n_devices=2, n_seq=2 * c, d_head=8, tile_q=c, tile_k=c, seed=3,
+                    precision=precision)
+        serial = simulate(SimConfig(executor="serial", **base))
+        threaded = simulate(SimConfig(executor="threads", **base))
+        assert oracle_error(serial) <= tol
+        assert threaded.output.tobytes() == serial.output.tobytes()
 
 
 # ---------------------------------------------------------------------------
