@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .attention import oracle_causal_attention
 from .costmodel import (
     PRESETS,
     SPEEDUP_TOLERANCE,
@@ -71,12 +72,17 @@ def build_report(configs: dict[Algo, SimConfig], with_oracle: bool) -> RunReport
         f"tile={first.tile_q}x{first.tile_k} seed={first.seed} "
         f"precision={first.precision} executor={first.executor}"
     )
+    if any(replace(config, algo=first.algo) != first for config in configs.values()):
+        raise ValueError("the configs of one report may differ only in algo")
     report = RunReport(label=label, stats={})
+    reference = None  # every run draws the same Q, K, V, so one oracle serves all
     for algo, config in configs.items():
         run = simulate(config)
         report.stats[algo.value] = run.stats
         if with_oracle:
-            report.oracle_errors[algo.value] = oracle_error(run)
+            if reference is None:
+                reference = oracle_causal_attention(run.q, run.k, run.v, scale=config.scale)
+            report.oracle_errors[algo.value] = oracle_error(run, reference)
     if len(configs) == 2:
         report.speedup = simulated_speedup(report.stats["ring"], report.stats["striped"])
     return report
@@ -216,9 +222,9 @@ def cmd_tms(args) -> int:
     try:
         preset = _resolve_preset(args.model)
         queries = [TmsQuery(preset, n, args.sp, args.flop_weight) for n in args.seq_len]
+        rows = [(q.n_seq, round(tms(q), 2)) for q in queries]
     except ValueError as exc:
         return _usage_error(str(exc))
-    rows = [(q.n_seq, round(tms(q), 2)) for q in queries]
     print(f"# model={preset.name} sp={args.sp} flop_weight={args.flop_weight:g}")
     print(f"{'n_seq':>9} {'TMS':>6}")
     for n_seq, value in rows:

@@ -113,15 +113,22 @@ def tms(query: TmsQuery) -> float:
     Returned unrounded (it is strictly increasing in n_seq and sp); round
     to 2 decimals when comparing against published tables. Scale-free: any
     common rescaling of the per-token FLOP terms cancels in the ratio.
+    Raises ``ValueError`` when a FLOP term overflows to inf, which would
+    make the ratio NaN.
     """
     other = non_attention_flops_per_token(query.preset)
     attn = query.flop_weight * attention_flops_per_token(query.preset, query.n_seq)
     c = query.n_seq // query.sp
     ring, striped = (
-        critical_path_required(algo, query.sp, c) / (query.sp * c * c)
+        other + attn * (critical_path_required(algo, query.sp, c) / (query.sp * c * c))
         for algo in (Algo.RING, Algo.STRIPED)
     )
-    return (other + attn * ring) / (other + attn * striped)
+    if not (math.isfinite(ring) and math.isfinite(striped)):
+        raise ValueError(
+            f"FLOP terms of model {query.preset.name!r} at n_seq={query.n_seq} overflow "
+            f"(per token: {other:.3g} non-attention, {attn:.3g} weighted attention)"
+        )
+    return ring / striped
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ fixed (rounds in order, row chunks of ``_CHUNK_ROWS`` in order within a
 round, independent of the modelled tile), so the two are bit-identical.
 The modelled tile only drives the work counters, which come from the
 closed form (``schedule_work_stats``), never from the numerics.
+
+A held block is folded only where its mask allows work: chunks start at
+the first row that sees a key, every key before a chunk's diagonal
+square is contracted unmasked, and ``-inf`` is written only into that
+square (``_fold_block``). A triangular block thus pays for its triangle
+plus half a chunk square per chunk, not for the whole c x c square.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .attention import (
     MaskSpec,
     SoftmaxAccumulator,
-    accumulate_tile,
+    accumulate_causal_rows,
     check_sequence,
     check_tiling,
     finalize,
@@ -43,10 +49,12 @@ from .layout import Algo, Layout, PermutedBatch, check_split
 
 _CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
 # Query rows per numeric fold: how this machine computes, not the modelled
-# hardware tile. A chunk's float64 scores against a 1024-key block take
-# 1 MB at 128 rows and fit a 2 MB L2; at 256 rows and above the n=4096
-# schedule ran no faster than folding once per 64x64 tile.
-_CHUNK_ROWS = 128
+# hardware tile. A triangular chunk also scores the masked half of its
+# diagonal square, so fewer rows waste less but pay more calls. Medians of
+# run_schedule at 32, 64 and 128 rows (one BLAS thread, 2-core VM): striped
+# N=8, n=1024 15.7, 11.4, 13.8 ms (ring 11.0, 7.1, 6.7); N=4, n=4096, d=64
+# striped 89, 81, 89 ms, ring 95, 70, 72 ms.
+_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -120,22 +128,21 @@ def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
 def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
     """Fold one held K/V block into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
 
-    Row x sees keys [0, x + diagonal + 1), so rows [r0, r1) together meet
-    only the slab [0, min(r1 + diagonal, cols)): each chunk is contracted
-    against that slab alone, and its mask is built only when the chunk's
-    first row, which sees the common prefix [0, r0 + diagonal + 1), does
-    not already see the whole slab. A chunk with an empty slab is skipped;
-    rows with no allowed key in it are left untouched by ``accumulate_tile``.
+    Row x sees keys [0, x + diagonal + 1). Rows before ``-diagonal`` see
+    none, so chunks start at row ``max(0, -diagonal)``: a fully masked
+    block is skipped whole and an exclusive triangle's dead row 0 is never
+    visited. A chunk [r0, r1) is contracted against the keys its last row
+    sees, [0, min(r1 + diagonal, cols)); all of them up to r0 + diagonal
+    are allowed for every row, and only the square after that prefix is
+    masked (``accumulate_causal_rows``), so a triangular block costs its
+    triangle plus half a chunk square per chunk, not a full slab.
     """
     d = mask.diagonal
-    for r0 in range(0, mask.block_rows, _CHUNK_ROWS):
+    for r0 in range(max(0, -d), mask.block_rows, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, mask.block_rows)
         width = min(r1 + d, mask.block_cols)
-        if width <= 0:
-            continue
-        allowed = None if r0 + d + 1 >= width else mask.allowed_block(r0, r1, 0, width)
-        accumulate_tile(
-            acc.rows(r0, r1), q_block[r0:r1], k_block[:width], v_block[:width], allowed
+        accumulate_causal_rows(
+            acc.rows(r0, r1), q_block[r0:r1], k_block[:width], v_block[:width], r0 + d
         )
 
 
@@ -252,20 +259,24 @@ def schedule_work_stats(
     """Closed-form per-round work counters, no numerics.
 
     Counts tiles with ``tile_census`` instead of enumerating them, so huge
-    blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds.
+    blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds. A
+    schedule holds at most three distinct masks, so each is counted once.
     Partial tiles are charged their whole area as computed.
     """
     algo = Algo(algo)
     if n_devices < 2:
         raise ValueError(f"need at least 2 devices, got {n_devices}")
     area = tile_q * tile_k
+    counted = {}  # MaskSpec -> (census, required pairs)
     out = []
     for j in range(n_devices):
         ws = WorkStats(device=j)
         for i in range(n_devices):
             k = (j - i) % n_devices
             mask = _block_mask(algo, j, k, block_size, n_devices)
-            census = tile_census(mask, tile_q, tile_k)
+            if mask not in counted:
+                counted[mask] = (tile_census(mask, tile_q, tile_k), mask.count_allowed())
+            census, required = counted[mask]
             ws.rounds.append(
                 RoundStats(
                     round=i,
@@ -275,7 +286,7 @@ def schedule_work_stats(
                     tiles_partial=census.n_partial,
                     tiles_full=census.n_full,
                     interactions_computed=(census.n_full + census.n_partial) * area,
-                    interactions_required=mask.count_allowed(),
+                    interactions_required=required,
                 )
             )
         out.append(ws)
@@ -366,7 +377,17 @@ def simulate(config: SimConfig, inputs=None) -> SimRun:
 ORACLE_TOLERANCE = {"double": 1e-9, "single": 1e-3}
 
 
-def oracle_error(run: SimRun) -> float:
-    """Max abs difference between the reassembled output and the dense reference."""
-    ref = oracle_causal_attention(run.q, run.k, run.v, scale=run.config.scale)
-    return float(np.max(np.abs(run.output.astype(np.float64) - ref.astype(np.float64))))
+def oracle_error(run: SimRun, reference: np.ndarray | None = None) -> float:
+    """Max abs difference between the reassembled output and the dense reference.
+
+    ``reference`` is ``oracle_causal_attention`` of the run's inputs, when
+    the caller already has it (runs that share Q, K, V and ``scale`` share
+    it); by default it is computed here.
+    """
+    if reference is None:
+        reference = oracle_causal_attention(run.q, run.k, run.v, scale=run.config.scale)
+    elif reference.shape != run.output.shape:
+        raise ValueError(
+            f"reference shape {reference.shape} does not match the output {run.output.shape}"
+        )
+    return float(np.max(np.abs(run.output.astype(np.float64) - reference.astype(np.float64))))

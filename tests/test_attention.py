@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from ringsim import attention
 from ringsim.attention import (
     MaskKind,
     MaskSpec,
     SoftmaxAccumulator,
     TileClass,
+    accumulate_causal_rows,
     accumulate_tile,
     check_sequence,
     classify_tiles,
@@ -57,6 +59,16 @@ def test_oracle_scale_flag():
     q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
     got = oracle_causal_attention(q, k, v, scale=True)
     want = dense_causal_reference(q, k, v, scale=True)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_oracle_panels_match_independent_dense_reference():
+    # One full panel and a one-row panel that meets every key before it.
+    n = attention._PANEL_ROWS + 1
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.standard_normal((n, 2)) for _ in range(3))
+    got = oracle_causal_attention(q, k, v)
+    want = dense_causal_reference(q, k, v)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -285,6 +297,31 @@ def test_fully_masked_rows_stay_untouched_bitwise():
     assert state.l[:4].tobytes() == before[2][:4].tobytes()
     # the live rows did change
     assert state.l[4:].tobytes() != before[2][4:].tobytes()
+
+
+@pytest.mark.parametrize("diagonal", [0, 1, 5, 9])
+def test_causal_rows_equal_masked_tile(diagonal):
+    # Row i sees keys y <= i + diagonal: the same fold, bit for bit, as an
+    # explicit mask over the same keys.
+    rows = 6
+    width = min(diagonal + rows, 10)
+    q, k, v = _causal_inputs(10, 4, 3, diagonal)
+    allowed = np.arange(width) <= np.arange(rows)[:, None] + diagonal
+    want = accumulate_tile(SoftmaxAccumulator.fresh(rows, 3), q[:rows], k[:width], v[:width], allowed)
+    got = accumulate_causal_rows(
+        SoftmaxAccumulator.fresh(rows, 3), q[:rows], k[:width], v[:width], diagonal
+    )
+    for name in ("acc", "m", "l"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_causal_rows_reject_dead_rows_and_unseen_keys():
+    q, k, v = _causal_inputs(8, 3, 2, 4)
+    state = SoftmaxAccumulator.fresh(4, 2)
+    with pytest.raises(ValueError, match="diagonal=-1"):
+        accumulate_causal_rows(state, q[:4], k[:3], v[:3], -1)
+    with pytest.raises(ValueError, match="at most 6 keys, got 7"):
+        accumulate_causal_rows(state, q[:4], k[:7], v[:7], 2)
 
 
 def test_finalize_divides_by_row_sums():

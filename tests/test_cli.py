@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ringsim import verify
+from ringsim import cli, verify
 from ringsim.attention import MaskKind, MaskSpec
 from ringsim.cli import STATS_CSV_HEADER, main
+from ringsim.simulator import Algo, SimConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,6 +122,56 @@ def test_tms_rejects_bad_preset_file(capsys, tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     assert main(["tms", "--model", str(path), "--sp", "2", "--seq-len", "4096"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d_model,weight", [("1e300", "2"), ("2048", "1e308")], ids=["huge-d_model", "huge-weight"]
+)
+def test_tms_rejects_overflowing_flop_terms(capsys, tmp_path, d_model, weight):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        f'{{"n_vocab": 32000, "d_model": {d_model}, "d_ff": 5504, "n_layer": 22, "n_head": 16}}',
+        encoding="utf-8",
+    )
+    argv = ["tms", "--model", str(path), "--sp", "2", "--seq-len", "4096", "--flop-weight", weight]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "FLOP terms of model 'huge' at n_seq=4096 overflow" in captured.err
+    assert "TMS" not in captured.out
+
+
+def test_simulate_both_computes_the_oracle_once(monkeypatch, capsys):
+    calls = []
+    real = cli.oracle_causal_attention
+    monkeypatch.setattr(
+        cli, "oracle_causal_attention", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    argv = "simulate --algo both --devices 2 --seq-len 32 --tile-q 4 --tile-k 4 --check-oracle"
+    assert main(argv.split()) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count(": OK") == 2
+
+
+def test_build_report_rejects_configs_with_different_inputs():
+    base = dict(n_devices=2, n_seq=16, d_head=4, tile_q=2, tile_k=2)
+    configs = {
+        Algo.RING: SimConfig(algo=Algo.RING, seed=1, **base),
+        Algo.STRIPED: SimConfig(algo=Algo.STRIPED, seed=2, **base),
+    }
+    with pytest.raises(ValueError, match="may differ only in algo"):
+        cli.build_report(configs, with_oracle=True)
+
+
+def test_exactness_sweep_computes_one_oracle_per_input(monkeypatch):
+    calls = []
+    real = verify.oracle_causal_attention
+    monkeypatch.setattr(
+        verify, "oracle_causal_attention", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    exactness, conservation = verify.check_exactness(quick=True)
+    assert exactness.passed and conservation.passed
+    assert exactness.detail.startswith("16 runs")
+    assert len(calls) == 4  # (n_seq, seed) in {16, 64} x {0, 1}
 
 
 def test_tms_missing_flags(capsys):

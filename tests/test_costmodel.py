@@ -87,6 +87,15 @@ def test_tms_query_rejects_non_finite_flop_weight(weight):
         TmsQuery(PRESETS["1b"], 16384, 4, weight)
 
 
+@pytest.mark.parametrize(
+    "d_model,weight", [(10**300, 2.0), (2048, 1e308)], ids=["huge-d_model", "huge-weight"]
+)
+def test_tms_rejects_overflowing_flop_terms(d_model, weight):
+    preset = ModelPreset("huge", 32000, d_model, 5504, 22, 16)
+    with pytest.raises(ValueError, match="FLOP terms of model 'huge' at n_seq=4096 overflow"):
+        tms(TmsQuery(preset, 4096, 2, weight))
+
+
 def test_tms_table_reproduces_reference_column():
     seqs = [16384, 32768, 65536, 98304, 131072, 196608, 262144]
     got = [(n, round(tms(TmsQuery(PRESETS["1b"], n, 4, 2.0)), 2)) for n in seqs]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringsim import simulator
-from ringsim.attention import get_mask_ring, get_mask_striped
+from ringsim.attention import get_mask_ring, get_mask_striped, oracle_causal_attention
 from ringsim.simulator import (
     Algo,
     SimConfig,
@@ -158,14 +158,27 @@ def test_output_does_not_depend_on_the_tiling(algo):
 def test_block_larger_than_a_row_chunk(algo, precision, tol):
     # Full row chunks plus a ragged remainder: two chunks and 44 rows, and
     # one chunk and a single row, which sees its whole key slab and is
-    # folded without a mask.
-    for c in (2 * simulator._CHUNK_ROWS + 44, simulator._CHUNK_ROWS + 1):
+    # folded without a mask. An exclusive block (striped, k > j) starts its
+    # chunks at row 1, because row 0 sees no key: at c = chunk + 1 its rows
+    # fill exactly one chunk, at c = chunk and chunk - 1 one short chunk.
+    chunk = simulator._CHUNK_ROWS
+    for c in (2 * chunk + 44, chunk + 1, chunk, chunk - 1):
         base = dict(algo=algo, n_devices=2, n_seq=2 * c, d_head=8, tile_q=c, tile_k=c, seed=3,
                     precision=precision)
         serial = simulate(SimConfig(executor="serial", **base))
         threaded = simulate(SimConfig(executor="threads", **base))
         assert oracle_error(serial) <= tol
         assert threaded.output.tobytes() == serial.output.tobytes()
+
+
+def test_oracle_error_takes_a_precomputed_reference():
+    run = simulate(SimConfig(algo=Algo.STRIPED, n_devices=2, n_seq=16, d_head=4,
+                             tile_q=2, tile_k=2, seed=2))
+    reference = oracle_causal_attention(run.q, run.k, run.v)
+    assert oracle_error(run, reference) == oracle_error(run)
+    assert oracle_error(run, np.zeros_like(reference)) == float(np.max(np.abs(run.output)))
+    with pytest.raises(ValueError, match="does not match the output"):
+        oracle_error(run, reference[:8])
 
 
 # ---------------------------------------------------------------------------
