@@ -104,7 +104,10 @@ class MaskSpec:
     def _bounds(self, r0, r1, c0, c1):
         r1 = self.block_rows if r1 is None else r1
         c1 = self.block_cols if c1 is None else c1
-        if not (0 <= r0 < r1 <= self.block_rows and 0 <= c0 < c1 <= self.block_cols):
+        # & rather than chained comparisons, so integer arrays of bounds pass too.
+        ok = (0 <= r0) & (r0 < r1) & (r1 <= self.block_rows)
+        ok = ok & (0 <= c0) & (c0 < c1) & (c1 <= self.block_cols)
+        if not (ok if isinstance(ok, bool) else ok.all()):
             raise ValueError(
                 f"tile [{r0}:{r1}, {c0}:{c1}] out of range for a "
                 f"{self.block_rows}x{self.block_cols} block"
@@ -117,27 +120,26 @@ class MaskSpec:
         d = self.diagonal
         return np.arange(c0, c1) <= np.arange(r0 + d, r1 + d)[:, None]
 
-    def count_allowed(self, r0=0, r1=None, c0=0, c1=None) -> int:
-        """Number of allowed pairs in a sub-block, in closed form."""
+    def count_allowed(self, r0=0, r1=None, c0=0, c1=None):
+        """Number of allowed pairs in a sub-block, in closed form.
+
+        Row x allows clip(x + s, 0, width) keys of the sub-block, with
+        s = diagonal + 1 - c0, so rows [r0, r1) allow G(r1 + s) - G(r0 + s)
+        pairs, G(z) = sum of clip(u, 0, width) over u < z. Python int bounds
+        give an exact int; integer arrays of bounds (broadcast together) give
+        an array of counts, one per sub-block.
+        """
         r0, r1, c0, c1 = self._bounds(r0, r1, c0, c1)
         width = c1 - c0
-        if self.diagonal <= -self.block_rows:
-            return 0
-        if self.diagonal >= self.block_cols - 1:
-            return (r1 - r0) * width
-        # Row x allows clamp(x + s, 0, width) keys of the sub-block.
         s = self.diagonal + 1 - c0
-        lo = max(r0, 1 - s)              # first row with any allowed key
-        hi = min(r1 - 1, width - s - 1)  # last row before saturation
-        total = 0
-        if hi >= lo:
-            a = lo + s
-            b = hi + s
-            total += (a + b) * (b - a + 1) // 2
-        n_saturated = r1 - max(r0, width - s)
-        if n_saturated > 0:
-            total += n_saturated * width
-        return total
+        return _clipped_prefix_sum(r1 + s, width) - _clipped_prefix_sum(r0 + s, width)
+
+
+def _clipped_prefix_sum(z, width):
+    """Sum of clip(u, 0, width) over integers u < z; branch-free, so arrays work too."""
+    z1 = (z - 1) * (z > 1)                # max(z - 1, 0): u runs over 1 .. z1
+    m = z1 - (z1 - width) * (z1 > width)  # min(z1, width): u up to m counts u
+    return m * (m + 1) // 2 + (z1 - m) * width
 
 
 # Query rows per oracle panel. Panels never build the n x n scores: at
@@ -235,28 +237,18 @@ def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> 
     return block_rows // tile_q, block_cols // tile_k
 
 
-def _classify_bounds(diagonal: int, r0: int, r1: int, c0: int, c1: int) -> TileClass:
-    # The tile's worst pair is (r0, c1 - 1) and its best (r1 - 1, c0).
-    if c1 - 1 <= r0 + diagonal:
-        return TileClass.FULL
-    if c0 > r1 - 1 + diagonal:
-        return TileClass.SKIP
-    return TileClass.PARTIAL
+_TILE_CLASSES = np.array([TileClass.SKIP, TileClass.PARTIAL, TileClass.FULL], dtype=object)
 
 
 def classify_tiles(mask: MaskSpec, tile_q: int, tile_k: int) -> list[list[TileClass]]:
     """Class of every (tile_q x tile_k) tile of the block, row-major."""
     grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
-    grid = []
-    for ti in range(grid_rows):
-        r0 = ti * tile_q
-        grid.append(
-            [
-                _classify_bounds(mask.diagonal, r0, r0 + tile_q, tj * tile_k, (tj + 1) * tile_k)
-                for tj in range(grid_cols)
-            ]
-        )
-    return grid
+    r0 = np.arange(grid_rows)[:, None] * tile_q
+    c0 = np.arange(grid_cols) * tile_k
+    # A tile's worst pair is (r0, c1 - 1) and its best (r1 - 1, c0).
+    full = c0 + tile_k - 1 <= r0 + mask.diagonal
+    live = c0 <= r0 + tile_q - 1 + mask.diagonal
+    return _TILE_CLASSES[live.astype(np.intp) + full].tolist()
 
 
 @dataclass(frozen=True)
@@ -309,17 +301,27 @@ class SoftmaxAccumulator:
     l: np.ndarray
 
     @classmethod
-    def fresh(cls, rows: int, cols: int, dtype=np.float64) -> "SoftmaxAccumulator":
-        if rows < 1 or cols < 1:
+    def fresh(
+        cls, rows: int | tuple[int, ...], cols: int, dtype=np.float64
+    ) -> "SoftmaxAccumulator":
+        """Empty state for ``rows`` query rows, or a shape such as (devices, rows)."""
+        shape = rows if isinstance(rows, tuple) else (rows,)
+        if min(shape) < 1 or cols < 1:
             raise ValueError(f"accumulator must be non-empty, got {rows}x{cols}")
         return cls(
-            acc=np.zeros((rows, cols), dtype=dtype),
-            m=np.full(rows, -np.inf, dtype=dtype),
-            l=np.zeros(rows, dtype=dtype),
+            acc=np.zeros(shape + (cols,), dtype=dtype),
+            m=np.full(shape, -np.inf, dtype=dtype),
+            l=np.zeros(shape, dtype=dtype),
         )
 
     def rows(self, start: int, stop: int) -> "SoftmaxAccumulator":
-        """View onto a row range; updates through it hit this accumulator."""
+        """View onto a range of the row axis; updates through it hit this accumulator."""
+        return SoftmaxAccumulator(
+            self.acc[..., start:stop, :], self.m[..., start:stop], self.l[..., start:stop]
+        )
+
+    def devices(self, start: int, stop: int) -> "SoftmaxAccumulator":
+        """View onto a range of the leading (device) axis of a stacked state."""
         return SoftmaxAccumulator(self.acc[start:stop], self.m[start:stop], self.l[start:stop])
 
 
@@ -357,38 +359,41 @@ def accumulate_causal_rows(
     keys must end where the last row's do (``diagonal + rows``) or sooner.
     Keys [0, diagonal] are allowed for every row; past them only the
     square starting at column ``diagonal`` is masked, above its main
-    diagonal, through a cached triangle. Mutates and returns ``state``.
+    diagonal, through a cached triangle. Leading axes (devices) of the
+    state, rows and keys are folded slice by slice, in one call.
+    Mutates and returns ``state``.
     """
-    rows, width = len(q_rows), len(k_keys)
+    rows, width = q_rows.shape[-2], k_keys.shape[-2]
     if diagonal < 0 or width > diagonal + rows:
         raise ValueError(
             f"rows see keys y <= i + diagonal: diagonal={diagonal} and {rows} rows "
             f"allow at most {diagonal + rows} keys, got {width}"
         )
-    scores = q_rows @ k_keys.T
+    scores = q_rows @ k_keys.swapaxes(-1, -2)
     if diagonal + 1 < width:
         np.copyto(
-            scores[:, diagonal:], -np.inf, where=_strict_upper(rows)[:, : width - diagonal]
+            scores[..., diagonal:], -np.inf, where=_strict_upper(rows)[:, : width - diagonal]
         )
     _fold(state, slice(None), scores, v_keys)
     return state
 
 
 def _fold(state, rows, scores, v_tile):
-    """Fold ``scores`` (a work array, overwritten) into ``state[rows]``."""
+    """Fold ``scores`` (a work array, overwritten) into ``state[rows]``; keys on axis -1."""
     m_old = state.m[rows]
-    m_new = np.maximum(m_old, scores.max(axis=1))
+    m_new = np.maximum(m_old, scores.max(axis=-1))
     carry = np.exp(m_old - m_new)  # exp(-inf - finite) == 0: no prior mass
-    scores -= m_new[:, None]
+    scores -= m_new[..., None]
     p = np.exp(scores, out=scores)  # masked scores are -inf, exp gives 0
-    state.acc[rows] = state.acc[rows] * carry[:, None] + p @ v_tile
-    state.l[rows] = state.l[rows] * carry + p.sum(axis=1)
+    state.acc[rows] = state.acc[rows] * carry[..., None] + p @ v_tile
+    state.l[rows] = state.l[rows] * carry + p.sum(axis=-1)
     state.m[rows] = m_new
 
 
 def finalize(state: SoftmaxAccumulator) -> np.ndarray:
     """Normalize the accumulated output; every row must have attended."""
-    dead = np.flatnonzero(state.l == 0)
+    dead = np.argwhere(state.l == 0)
     if dead.size:
-        raise ValueError(f"query row attended no keys (first dead row: {int(dead[0])})")
-    return state.acc / state.l[:, None]
+        where = ", ".join(str(i) for i in dead[0])
+        raise ValueError(f"query row attended no keys (first dead row: {where})")
+    return state.acc / state.l[..., None]

@@ -2,16 +2,18 @@
 
 Two ownership schemes over a length-n sequence split across N devices:
 contiguous blocks (device d owns positions [d*c, (d+1)*c)) and stripes
-(device d owns positions congruent to d modulo N). A striped partition is
-the same thing as permuting the sequence once and then slicing it
-contiguously, which is how the schedule simulator stays layout-agnostic:
-only mask construction differs between the schemes.
+(device d owns positions congruent to d modulo N). Either one is a single
+permutation of the sequence, the (N, c) table of original positions
+(``Layout.positions``): partition gathers each tensor through it once into
+an (N, c, ...) array stacked by device, and gather scatters the stacked
+outputs back through it once. This is how the schedule simulator stays
+layout-agnostic: only mask construction differs between the schemes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,11 +47,21 @@ class Shard:
 
 @dataclass(frozen=True)
 class PermutedBatch:
-    """Per-device Q/K/V triples plus companion arrays riding the same permutation."""
+    """Q/K/V stacked by device, (N, c, d), plus companions riding the same permutation.
+
+    ``shards[d]`` holds views of row d of the stacked arrays.
+    """
 
     layout: "Layout"
-    shards: list[Shard]
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
     companions: list[tuple]
+    shards: list[Shard] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shards = [Shard(*per_device) for per_device in zip(self.q, self.k, self.v)]
+        object.__setattr__(self, "shards", shards)
 
     def gather_companion(self, index: int) -> np.ndarray:
         return self.layout.gather([per_device[index] for per_device in self.companions])
@@ -78,17 +90,22 @@ class Layout:
         """All original positions owned by `device`, in local-row order."""
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range (N={self.n_devices})")
-        locals_ = np.arange(self.block_size)
+        return self.positions()[device]
+
+    def positions(self) -> np.ndarray:
+        """(N, c) table of original positions: row d is device d's, in local-row order."""
+        order = np.arange(self.n_seq)
         if self.scheme is Algo.RING:
-            return device * self.block_size + locals_
-        return device + locals_ * self.n_devices
+            return order.reshape(self.n_devices, self.block_size)
+        return order.reshape(self.block_size, self.n_devices).T
 
     def partition(self, q, k, v, companions: Sequence = ()) -> PermutedBatch:
         """Split Q/K/V rows (and any companion arrays) across devices.
 
         Row ``global_of(d, x)`` of every input lands at local row x of
         device d; companion arrays (position ids, target ids, ...) are
-        opaque payloads permuted identically.
+        opaque payloads permuted identically. Each input is gathered once
+        into an (N, c, ...) array.
         """
         q, k, v = (np.asarray(x) for x in (q, k, v))
         for name, x in (("Q", q), ("K", k), ("V", v)):
@@ -98,25 +115,19 @@ class Layout:
         for i, a in enumerate(comps):
             if a.shape[0] != self.n_seq:
                 raise ValueError(f"companion {i} must have length {self.n_seq}, got {a.shape[0]}")
-        shards, comp_shards = [], []
-        for d in range(self.n_devices):
-            idx = self.device_globals(d)
-            shards.append(Shard(q[idx], k[idx], v[idx]))
-            comp_shards.append(tuple(a[idx] for a in comps))
-        return PermutedBatch(layout=self, shards=shards, companions=comp_shards)
+        order = self.positions()
+        comps = [a[order] for a in comps]
+        per_device = [tuple(a[d] for a in comps) for d in range(self.n_devices)]
+        return PermutedBatch(self, q[order], k[order], v[order], per_device)
 
-    def gather(self, shards: Sequence) -> np.ndarray:
-        """Exact inverse of partition for one per-device list of tensors."""
-        if len(shards) != self.n_devices:
-            raise ValueError(f"expected {self.n_devices} shards, got {len(shards)}")
-        first = np.asarray(shards[0])
-        want_shape = (self.block_size,) + first.shape[1:]
-        out = np.empty((self.n_seq,) + first.shape[1:], dtype=first.dtype)
-        for d, shard in enumerate(shards):
-            shard = np.asarray(shard)
-            if shard.shape != want_shape:
-                raise ValueError(
-                    f"shard {d} has shape {tuple(shard.shape)}, expected {want_shape}"
-                )
-            out[self.device_globals(d)] = shard
+    def gather(self, shards) -> np.ndarray:
+        """Exact inverse of partition for per-device tensors, stacked (N, c, ...) or a list."""
+        stacked = np.asarray(shards)  # a ragged list raises ValueError here
+        if stacked.shape[:2] != (self.n_devices, self.block_size):
+            raise ValueError(
+                f"shards have shape {stacked.shape}, expected {self.n_devices} devices "
+                f"x {self.block_size} rows"
+            )
+        out = np.empty((self.n_seq,) + stacked.shape[2:], dtype=stacked.dtype)
+        out[self.positions()] = stacked
         return out

@@ -6,15 +6,22 @@ that block to its ring successor and receives from its predecessor. The
 contiguous and striped layouts share the identical schedule; they differ
 only in which mask a (query block, key block) pair produces.
 
-Both executors run the same per-device round loop and differ only in how
-a device gets its next block: the serial one runs the devices one after
-another and reads the block straight from the partitioned batch; the
-threaded one runs one worker per device, connected by ordered
-point-to-point queues. Each device's floating-point accumulation order is
-fixed (rounds in order, row chunks of ``_CHUNK_ROWS`` in order within a
-round, independent of the modelled tile), so the two are bit-identical.
-The modelled tile only drives the work counters, which come from the
-closed form (``schedule_work_stats``), never from the numerics.
+Q, K, V and the softmax state are stacked by device, (N, c, ...). Both
+executors run one round loop (``_device_rounds``) and differ only in which
+devices it covers and where a held block comes from. The serial one
+advances all devices one round at a time: in round i the devices holding
+blocks k < j share one mask, those holding k > j another, and the held
+blocks of each range are plain slices of the stacked K and V, so a range
+is folded a group of devices per call. A call covers at most
+``_CHUNK_ROWS`` query rows across the devices in it. The threaded one
+runs the loop over one device per worker, with blocks arriving over
+ordered point-to-point queues. Each device's floating-point accumulation
+order is fixed (rounds in order, row chunks of ``_CHUNK_ROWS`` in order
+within a round, independent of the modelled tile and of the grouping; a
+stacked product makes the same BLAS call per device), so the two are
+bit-identical. The modelled tile only drives the work counters, which
+come from the closed form (``schedule_work_stats``), never from the
+numerics.
 
 A held block is folded only where its mask allows work: chunks start at
 the first row that sees a key, every key before a chunk's diagonal
@@ -53,7 +60,8 @@ _CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
 # diagonal square, so fewer rows waste less but pay more calls. Medians of
 # run_schedule at 32, 64 and 128 rows (one BLAS thread, 2-core VM): striped
 # N=8, n=1024 15.7, 11.4, 13.8 ms (ring 11.0, 7.1, 6.7); N=4, n=4096, d=64
-# striped 89, 81, 89 ms, ring 95, 70, 72 ms.
+# striped 89, 81, 89 ms, ring 95, 70, 72 ms. A call that folds a group of
+# devices (``_device_rounds``) covers at most this many rows in all too.
 _CHUNK_ROWS = 64
 
 
@@ -126,8 +134,9 @@ def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
 
 
 def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
-    """Fold one held K/V block into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
+    """Fold held K/V blocks into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
 
+    The blocks are stacked by device, (g, c, d), and all g share ``mask``.
     Row x sees keys [0, x + diagonal + 1). Rows before ``-diagonal`` see
     none, so chunks start at row ``max(0, -diagonal)``: a fully masked
     block is skipped whole and an exclusive triangle's dead row 0 is never
@@ -142,38 +151,40 @@ def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_blo
         r1 = min(r0 + _CHUNK_ROWS, mask.block_rows)
         width = min(r1 + d, mask.block_cols)
         accumulate_causal_rows(
-            acc.rows(r0, r1), q_block[r0:r1], k_block[:width], v_block[:width], r0 + d
+            acc.rows(r0, r1), q_block[:, r0:r1], k_block[:, :width], v_block[:, :width], r0 + d
         )
 
 
-def _device_rounds(config: SimConfig, j: int, q_block, kv, exchange) -> np.ndarray:
-    """Device j's whole schedule; returns its normalized output block.
+def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range, held) -> None:
+    """Fold every round of ``devices``' schedule into the stacked ``acc``.
 
-    ``kv`` is the (K, V) block the device starts with, its own. Round i
-    folds the held block, (j - i) mod N, with ``_fold_block``; then
-    ``exchange(j, i, kv)`` hands back the block held in round i + 1.
+    In round i, devices [i, N) hold blocks [0, N - i) and devices [0, i)
+    hold blocks [N - i, N). A block's mask depends only on how k compares
+    with j, so each range shares one mask, and it is folded in groups of
+    ``max(1, _CHUNK_ROWS // c)`` devices, one fold call per row chunk.
+    ``held(i, a, b)`` returns the (K, V) stacks devices [a, b) hold in
+    round i; it is called once per group and round, in round order.
     """
     n, c = config.n_devices, config.block_size
-    acc = SoftmaxAccumulator.fresh(c, kv[1].shape[1], config.dtype)
+    group = max(1, _CHUNK_ROWS // c)
+    first, stop = devices.start, devices.stop
     for i in range(n):
-        mask = _block_mask(config.algo, j, (j - i) % n, c, n)
-        _fold_block(acc, mask, q_block, *kv)
-        if i + 1 < n:
-            kv = exchange(j, i, kv)
-    return finalize(acc)
+        for lo, hi in ((max(i, first), stop), (first, min(i, stop))):
+            for a in range(lo, hi, group):
+                b = min(a + group, hi)
+                k, v = held(i, a, b)
+                mask = _block_mask(config.algo, a, (a - i) % n, c, n)
+                _fold_block(acc.devices(a, b), mask, q[a:b], k, v)
 
 
-def _run_serial(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
+def _run_serial(config: SimConfig, batch: PermutedBatch, acc: SoftmaxAccumulator) -> None:
     n = config.n_devices
 
-    def exchange(j: int, i: int, kv):
-        shard = batch.shards[(j - i - 1) % n]  # what the predecessor held in round i
-        return shard.k, shard.v
+    def held(i: int, a: int, b: int):
+        k0 = (a - i) % n  # devices [a, b) hold blocks [k0, k0 + b - a)
+        return batch.k[k0:k0 + b - a], batch.v[k0:k0 + b - a]
 
-    return [
-        _device_rounds(config, j, sh.q, (sh.k, sh.v), exchange)
-        for j, sh in enumerate(batch.shards)
-    ]
+    _device_rounds(config, acc, batch.q, range(n), held)
 
 
 class _PeerFailed(Exception):
@@ -183,10 +194,10 @@ class _PeerFailed(Exception):
 _ABORT = object()  # put into every inbox by a failing worker
 
 
-def _run_threads(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
+def _run_threads(config: SimConfig, batch: PermutedBatch, acc: SoftmaxAccumulator) -> None:
+    """One worker per device folds into its own row of ``acc``; blocks arrive by queue."""
     n = config.n_devices
     inboxes = [queue.Queue() for _ in range(n)]  # inboxes[j]: blocks come only from j-1
-    outputs: list[np.ndarray | None] = [None] * n
     errors: list[BaseException] = []
 
     def exchange(j: int, i: int, kv):
@@ -201,9 +212,17 @@ def _run_threads(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
             raise _PeerFailed
         return got
 
-    def worker(j: int, shard) -> None:
+    def worker(j: int) -> None:
+        kv = batch.k[j:j + 1], batch.v[j:j + 1]
+
+        def held(i: int, a: int, b: int):
+            nonlocal kv
+            if i:
+                kv = exchange(j, i - 1, kv)
+            return kv
+
         try:
-            outputs[j] = _device_rounds(config, j, shard.q, (shard.k, shard.v), exchange)
+            _device_rounds(config, acc, batch.q, range(j, j + 1), held)
         except _PeerFailed:
             pass
         except BaseException as exc:  # re-raised by the caller after join
@@ -212,8 +231,8 @@ def _run_threads(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
                 inbox.put(_ABORT)
 
     threads = [
-        threading.Thread(target=worker, args=(j, sh), name=f"device-{j}", daemon=True)
-        for j, sh in enumerate(batch.shards)
+        threading.Thread(target=worker, args=(j,), name=f"device-{j}", daemon=True)
+        for j in range(n)
     ]
     for t in threads:
         t.start()
@@ -221,15 +240,15 @@ def _run_threads(config: SimConfig, batch: PermutedBatch) -> list[np.ndarray]:
         t.join()
     if errors:
         raise errors[0]
-    return outputs
 
 
 def run_schedule(config: SimConfig, batch: PermutedBatch):
     """Execute the N-round rotation.
 
-    Returns (per-device outputs, per-device WorkStats), outputs still in
-    the layout's local order. The stats are ``schedule_work_stats`` of
-    the config: the counters depend on the masks and the tiling only.
+    Returns (outputs, per-device WorkStats): the outputs are stacked by
+    device, (N, c, d_v), still in the layout's local order. The stats are
+    ``schedule_work_stats`` of the config: the counters depend on the
+    masks and the tiling only.
     """
     n, c = config.n_devices, config.block_size
     if batch.layout.scheme is not config.algo:
@@ -239,18 +258,16 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
         )
     if batch.layout.n_seq != config.n_seq or batch.layout.n_devices != n:
         raise ValueError("batch layout does not match the simulation config")
-    if len(batch.shards) != n:
-        raise ValueError(f"batch has {len(batch.shards)} shards, config wants {n}")
-    for d, sh in enumerate(batch.shards):
-        if sh.q.shape != (c, config.d_head) or sh.k.shape != (c, config.d_head):
-            raise ValueError(
-                f"device {d} Q/K shard shape mismatch (want block {c} x d_head {config.d_head})"
-            )
-        if sh.v.shape[0] != c:
-            raise ValueError(f"device {d} V shard must have {c} rows, got {sh.v.shape[0]}")
+    want = (n, c, config.d_head)
+    if batch.q.shape != want or batch.k.shape != want or batch.v.shape[:2] != want[:2]:
+        raise ValueError(
+            f"batch Q/K/V shapes {batch.q.shape}, {batch.k.shape}, {batch.v.shape} do not "
+            f"match {n} devices x block {c} x d_head {config.d_head}"
+        )
+    acc = SoftmaxAccumulator.fresh((n, c), batch.v.shape[2], config.dtype)
     run = _run_threads if config.executor == "threads" else _run_serial
-    outputs = run(config, batch)
-    return outputs, schedule_work_stats(config.algo, n, c, config.tile_q, config.tile_k)
+    run(config, batch, acc)
+    return finalize(acc), schedule_work_stats(config.algo, n, c, config.tile_q, config.tile_k)
 
 
 def schedule_work_stats(
@@ -259,38 +276,55 @@ def schedule_work_stats(
     """Closed-form per-round work counters, no numerics.
 
     Counts tiles with ``tile_census`` instead of enumerating them, so huge
-    blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds. A
-    schedule holds at most three distinct masks, so each is counted once.
+    blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds. Each
+    of the schedule's three masks (``_relation_masks``) is counted once.
     Partial tiles are charged their whole area as computed.
     """
     algo = Algo(algo)
     if n_devices < 2:
         raise ValueError(f"need at least 2 devices, got {n_devices}")
     area = tile_q * tile_k
-    counted = {}  # MaskSpec -> (census, required pairs)
-    out = []
-    for j in range(n_devices):
-        ws = WorkStats(device=j)
-        for i in range(n_devices):
-            k = (j - i) % n_devices
-            mask = _block_mask(algo, j, k, block_size, n_devices)
-            if mask not in counted:
-                counted[mask] = (tile_census(mask, tile_q, tile_k), mask.count_allowed())
-            census, required = counted[mask]
-            ws.rounds.append(
+    counters = []  # RoundStats fields of the own block, k < j and k > j
+    for mask in _relation_masks(algo, n_devices, block_size):
+        census = tile_census(mask, tile_q, tile_k)
+        counters.append(
+            dict(
+                tiles_total=census.n_total,
+                tiles_skipped=census.n_skip,
+                tiles_partial=census.n_partial,
+                tiles_full=census.n_full,
+                interactions_computed=(census.n_full + census.n_partial) * area,
+                interactions_required=mask.count_allowed(),
+            )
+        )
+    own, below, above = counters
+    return [
+        WorkStats(
+            device=j,
+            rounds=[
                 RoundStats(
                     round=i,
-                    block_index=k,
-                    tiles_total=census.n_total,
-                    tiles_skipped=census.n_skip,
-                    tiles_partial=census.n_partial,
-                    tiles_full=census.n_full,
-                    interactions_computed=(census.n_full + census.n_partial) * area,
-                    interactions_required=required,
+                    block_index=(j - i) % n_devices,
+                    **(own if i == 0 else below if j >= i else above),
                 )
-            )
-        out.append(ws)
-    return out
+                for i in range(n_devices)
+            ],
+        )
+        for j in range(n_devices)
+    ]
+
+
+def _relation_masks(algo: Algo, n_devices: int, block_size: int) -> tuple[MaskSpec, ...]:
+    """The masks of blocks (0, 0), (1, 0) and (0, 1).
+
+    Round 0 holds only own blocks (k = j). Every later round i holds
+    blocks with k < j (devices j >= i) and with k > j (devices j < i),
+    and both mask families depend only on how k compares with j, so
+    these three stand for every (j, k) of the schedule.
+    """
+    return tuple(
+        _block_mask(algo, j, k, block_size, n_devices) for j, k in ((0, 0), (1, 0), (0, 1))
+    )
 
 
 def round_critical_path(stats: Sequence[WorkStats], round_i: int) -> int:
@@ -312,18 +346,13 @@ def critical_path_sum(stats: Sequence[WorkStats]) -> int:
 def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     """``critical_path_sum`` of the required interactions at 1x1 tiles, in O(1).
 
-    Round 0 holds only own blocks (k = j). Every later round i holds
-    blocks with k < j (devices j >= i) and with k > j (devices j < i),
-    and both mask families depend only on how k compares with j, so
-    blocks (1, 0) and (0, 1) stand for all of them.
+    Round 0 holds the own blocks, every later round one block of each
+    other relation (``_relation_masks``).
     """
     algo = Algo(algo)
     check_split(n_devices * block_size, n_devices)
-
-    def required(j: int, k: int) -> int:
-        return _block_mask(algo, j, k, block_size, n_devices).count_allowed()
-
-    return required(0, 0) + (n_devices - 1) * max(required(1, 0), required(0, 1))
+    own, below, above = (m.count_allowed() for m in _relation_masks(algo, n_devices, block_size))
+    return own + (n_devices - 1) * max(below, above)
 
 
 def simulated_speedup(ring_stats: Sequence[WorkStats], striped_stats: Sequence[WorkStats]) -> float:
@@ -349,7 +378,7 @@ class SimRun:
     k: np.ndarray
     v: np.ndarray
     layout: Layout
-    outputs: list[np.ndarray]
+    outputs: np.ndarray  # stacked by device, (N, c, d_v), in the layout's local order
     stats: list[WorkStats]
     output: np.ndarray  # rows back in original token order
 

@@ -24,7 +24,7 @@ from .attention import (
     tile_census,
 )
 from .costmodel import SPEEDUP_TOLERANCE, compare_golden
-from .simulator import ORACLE_TOLERANCE, Algo, SimConfig, oracle_error, simulate
+from .simulator import ORACLE_TOLERANCE, Algo, SimConfig, oracle_error, random_qkv, simulate
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def check_tiles() -> PropertyResult:
     """Tile classes, censuses and pair counts vs enumeration, blocks <= 64x64.
 
     The dense mask is summed tile by tile in one reshape; every tile's
-    class and ``count_allowed`` are then compared with those sums.
+    class and ``count_allowed`` are then compared with those sums over
+    the whole grid at once, and the first tile that differs is named.
     """
     def fail(msg: str) -> PropertyResult:
         return PropertyResult("tile-conservation", False, msg)
@@ -81,28 +82,25 @@ def check_tiles() -> PropertyResult:
                         continue
                     case = f"{kind.value} block {rows}x{cols} tiles {tq}x{tk}"
                     sums = dense.reshape(rows // tq, tq, cols // tk, tk).sum(axis=(1, 3))
+                    want = np.where(sums == 0, TileClass.SKIP, TileClass.PARTIAL)
+                    want[sums == tq * tk] = TileClass.FULL
+                    grid = np.array(classify_tiles(mask, tq, tk), dtype=object)
+                    bad = np.argwhere(grid != want)
+                    if bad.size:
+                        ti, tj = bad[0]
+                        return fail(
+                            f"{case} tile ({ti},{tj}): {grid[ti, tj].value} != {want[ti, tj].value}"
+                        )
+                    r0 = np.arange(rows // tq)[:, None] * tq
+                    c0 = np.arange(cols // tk) * tk
+                    bad = np.argwhere(mask.count_allowed(r0, r0 + tq, c0, c0 + tk) != sums)
+                    if bad.size:
+                        ti, tj = bad[0]
+                        return fail(f"{case} tile ({ti},{tj}): count_allowed mismatch")
                     census = tile_census(mask, tq, tk)
-                    counts = dict.fromkeys(TileClass, 0)
-                    grid = classify_tiles(mask, tq, tk)
-                    for ti, (grid_row, sum_row) in enumerate(zip(grid, sums.tolist())):
-                        for tj, (cls, n_pairs) in enumerate(zip(grid_row, sum_row)):
-                            counts[cls] += 1
-                            want = (
-                                TileClass.SKIP
-                                if n_pairs == 0
-                                else TileClass.FULL if n_pairs == tq * tk else TileClass.PARTIAL
-                            )
-                            if cls is not want:
-                                return fail(f"{case} tile ({ti},{tj}): {cls.value} != {want.value}")
-                            n_allowed = mask.count_allowed(
-                                ti * tq, (ti + 1) * tq, tj * tk, (tj + 1) * tk
-                            )
-                            if n_allowed != n_pairs:
-                                return fail(f"{case} tile ({ti},{tj}): count_allowed mismatch")
-                    if (census.n_full, census.n_partial, census.n_skip) != (
-                        counts[TileClass.FULL],
-                        counts[TileClass.PARTIAL],
-                        counts[TileClass.SKIP],
+                    if (census.n_full, census.n_partial, census.n_skip) != tuple(
+                        int((grid == cls).sum())
+                        for cls in (TileClass.FULL, TileClass.PARTIAL, TileClass.SKIP)
                     ):
                         return fail(f"{case}: census disagrees with grid counts")
                     if census.n_total * tq * tk != rows * cols:
@@ -137,7 +135,7 @@ def check_exactness(quick: bool = False) -> tuple[PropertyResult, PropertyResult
     """Distributed output vs dense reference, plus interaction conservation."""
     worst = 0.0
     n_runs = 0
-    references = {}  # both layouts and every N draw the same inputs for one of these keys
+    drawn = {}  # both layouts and every N share one key's inputs and oracle output
     for config in _sweep_configs(quick):
         label = (
             f"algo={config.algo.value} N={config.n_devices} "
@@ -145,10 +143,12 @@ def check_exactness(quick: bool = False) -> tuple[PropertyResult, PropertyResult
         )
         key = (config.n_seq, config.d_head, config.seed, config.precision, config.scale)
         try:
-            run = simulate(config)
-            if key not in references:
-                references[key] = oracle_causal_attention(run.q, run.k, run.v, scale=config.scale)
-            err = oracle_error(run, references[key])
+            if key not in drawn:
+                qkv = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
+                drawn[key] = qkv, oracle_causal_attention(*qkv, scale=config.scale)
+            inputs, reference = drawn[key]
+            run = simulate(config, inputs)
+            err = oracle_error(run, reference)
         except Exception as exc:
             broken = PropertyResult("exactness-sweep", False, f"{label}: {exc}")
             return broken, PropertyResult(

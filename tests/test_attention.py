@@ -315,6 +315,25 @@ def test_causal_rows_equal_masked_tile(diagonal):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("diagonal", [0, 3])
+def test_stacked_devices_fold_as_if_alone(diagonal):
+    # One call over a (devices, rows, d) stack must give each device the
+    # bytes it gets from its own 2-D call, through to finalize.
+    rng = np.random.default_rng(diagonal)
+    q, k, v = (rng.standard_normal((3, 8, 4)) for _ in range(3))
+    width = diagonal + 5
+    stacked = SoftmaxAccumulator.fresh((3, 5), 4)
+    accumulate_causal_rows(stacked, q[:, :5], k[:, :width], v[:, :width], diagonal)
+    for dev in range(3):
+        alone = SoftmaxAccumulator.fresh(5, 4)
+        accumulate_causal_rows(alone, q[dev, :5], k[dev, :width], v[dev, :width], diagonal)
+        assert finalize(stacked)[dev].tobytes() == finalize(alone).tobytes()
+        assert stacked.devices(dev, dev + 1).m[0].tobytes() == alone.m.tobytes()
+    stacked.l[1] = 0.0
+    with pytest.raises(ValueError, match=r"first dead row: 1, 0\)"):
+        finalize(stacked)
+
+
 def test_causal_rows_reject_dead_rows_and_unseen_keys():
     q, k, v = _causal_inputs(8, 3, 2, 4)
     state = SoftmaxAccumulator.fresh(4, 2)

@@ -5,10 +5,11 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringsim import cli, verify
-from ringsim.attention import MaskKind, MaskSpec
+from ringsim.attention import MaskKind, MaskSpec, TileClass
 from ringsim.cli import STATS_CSV_HEADER, main
 from ringsim.simulator import Algo, SimConfig
 
@@ -172,6 +173,46 @@ def test_exactness_sweep_computes_one_oracle_per_input(monkeypatch):
     assert exactness.passed and conservation.passed
     assert exactness.detail.startswith("16 runs")
     assert len(calls) == 4  # (n_seq, seed) in {16, 64} x {0, 1}
+
+
+def test_exactness_sweep_draws_each_input_once(monkeypatch):
+    calls = []
+    real = verify.random_qkv
+    monkeypatch.setattr(verify, "random_qkv", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    exactness, _ = verify.check_exactness(quick=True)
+    assert exactness.passed
+    assert len(calls) == 4  # one draw per (n_seq, seed), shared by both layouts and every N
+
+
+def test_tile_check_names_the_first_wrong_tile(monkeypatch):
+    real_classify = verify.classify_tiles
+
+    def one_wrong_class(mask, tq, tk):
+        grid = real_classify(mask, tq, tk)
+        if mask.kind is MaskKind.CAUSAL_INCLUSIVE and (mask.block_rows, tq, tk) == (16, 2, 3):
+            grid[5][2] = TileClass.SKIP  # rows 10-11 see keys 6-8: a full tile
+        return grid
+
+    monkeypatch.setattr(verify, "classify_tiles", one_wrong_class)
+    result = verify.check_tiles()
+    assert not result.passed
+    assert result.detail == (
+        "causal_inclusive block 16x48 tiles 2x3 tile (5,2): skip != full"
+    )
+
+    monkeypatch.setattr(verify, "classify_tiles", real_classify)
+    real_count = MaskSpec.count_allowed
+
+    def one_wrong_count(self, r0=0, r1=None, c0=0, c1=None):
+        counts = real_count(self, r0, r1, c0, c1)
+        if self.kind is MaskKind.FULLY_UNMASKED and np.shape(counts) == (8, 8):
+            counts[3, 7] += 1
+        return counts
+
+    monkeypatch.setattr(MaskSpec, "count_allowed", one_wrong_count)
+    result = verify.check_tiles()
+    assert not result.passed
+    assert result.detail == "fully_unmasked block 8x8 tiles 1x1 tile (3,7): count_allowed mismatch"
 
 
 def test_tms_missing_flags(capsys):

@@ -96,6 +96,20 @@ def test_companions_ride_the_same_permutation():
     np.testing.assert_array_equal(batch.gather_companion(1), targets)
 
 
+@SCHEMES
+def test_shards_are_views_of_the_stacked_arrays(scheme):
+    layout = Layout(scheme, 12, 3)
+    q, k, v = (np.arange(24.0).reshape(12, 2) + offset for offset in (0, 100, 200))
+    batch = layout.partition(q, k, v)
+    assert batch.q.shape == batch.k.shape == batch.v.shape == (3, 4, 2)
+    for d, sh in enumerate(batch.shards):
+        for part, stacked in ((sh.q, batch.q), (sh.k, batch.k), (sh.v, batch.v)):
+            assert np.shares_memory(part, stacked[d])
+            np.testing.assert_array_equal(part, stacked[d])
+    np.testing.assert_array_equal(layout.gather(batch.q), q)  # stacked, one scatter
+    np.testing.assert_array_equal(layout.gather(list(batch.v)), v)
+
+
 def test_partition_and_gather_shape_errors():
     layout = Layout(Algo.STRIPED, 8, 2)
     with pytest.raises(ValueError):
@@ -106,6 +120,8 @@ def test_partition_and_gather_shape_errors():
         layout.gather([np.zeros((4, 2))])  # wrong shard count
     with pytest.raises(ValueError):
         layout.gather([np.zeros((3, 2)), np.zeros((4, 2))])  # wrong row count
+    with pytest.raises(ValueError):
+        layout.gather(np.zeros((2, 3, 2)))  # stacked, wrong row count
 
 
 @pytest.mark.parametrize("n_devices", [2, 4])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ringsim.attention import (  # noqa: E402
@@ -19,8 +19,10 @@ from ringsim.attention import (  # noqa: E402
     tile_census,
 )
 from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
+from ringsim import simulator  # noqa: E402
 from ringsim.layout import Layout  # noqa: E402
 from ringsim.simulator import (  # noqa: E402
+    ORACLE_TOLERANCE,
     Algo,
     SimConfig,
     critical_path_required,
@@ -161,6 +163,52 @@ def test_simulate_matches_oracle(schedule, seed):
         algo=algo, n_devices=n, n_seq=n * c, d_head=4, tile_q=tile_q, tile_k=tile_k, seed=seed
     )
     assert oracle_error(simulate(config)) <= EXACT_TOL
+
+
+_CHUNK = simulator._CHUNK_ROWS
+# Block sizes around the grouping: 4, 2 and 1 device per fold call, then
+# one device in one and in two row chunks.
+GROUP_EDGES = (_CHUNK // 4, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1)
+
+
+@settings(BOUNDED, max_examples=30)
+@given(
+    st.sampled_from(list(Algo)),
+    st.integers(2, 8),
+    st.sampled_from(GROUP_EDGES),
+    st.sampled_from(["double", "single"]),
+    st.integers(0, 2**16),
+)
+# Ragged last groups: 3 devices in groups of 2, 6 and 3 in groups of 4.
+@example(Algo.STRIPED, 3, _CHUNK // 2, "double", 1)
+@example(Algo.RING, 6, _CHUNK // 4, "single", 2)
+@example(Algo.STRIPED, 6, _CHUNK // 4, "double", 3)
+@example(Algo.RING, 3, _CHUNK // 2, "single", 4)
+def test_grouped_serial_fold_equals_threads_and_oracle(algo, n, c, precision, seed):
+    # Serial folds max(1, _CHUNK_ROWS // c) devices per call, threads one:
+    # the bytes must not depend on the grouping.
+    base = dict(algo=algo, n_devices=n, n_seq=n * c, d_head=4, tile_q=c, tile_k=c, seed=seed,
+                precision=precision)
+    serial = simulate(SimConfig(**base))
+    threaded = simulate(SimConfig(executor="threads", **base))
+    assert serial.output.tobytes() == threaded.output.tobytes()
+    assert oracle_error(serial) <= ORACLE_TOLERANCE[precision]
+
+
+@BOUNDED
+@given(sub_rectangles(), st.integers(1, 4), st.integers(1, 4))
+def test_count_allowed_over_a_grid_equals_scalar_calls(rect, n_rows, n_cols):
+    # Array bounds broadcast to one count per sub-rectangle; each must
+    # equal the exact scalar count of the same rectangle.
+    kind, rows, cols, r0, r1, c0, c1 = rect
+    mask = MaskSpec(kind, rows, cols)
+    r_lo = np.minimum(np.arange(n_rows) + r0, r1 - 1)[:, None]
+    c_lo = np.minimum(np.arange(n_cols) + c0, c1 - 1)
+    got = mask.count_allowed(r_lo, r1, c_lo, c1)
+    want = [[mask.count_allowed(int(a), r1, int(b), c1) for b in c_lo] for a in r_lo[:, 0]]
+    assert got.tolist() == want
+    with pytest.raises(ValueError, match="out of range"):
+        mask.count_allowed(r_lo, r1, c_lo, np.append(c_lo[1:] + 1, cols + 1))
 
 
 @BOUNDED

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -295,6 +296,24 @@ def test_serial_and_threaded_runs_are_bit_identical(algo):
     assert threaded.output.tobytes() == serial.output.tobytes()
     assert rerun.stats == serial.stats
     assert threaded.stats == serial.stats
+
+
+def test_threads_share_one_stacked_state_under_fast_switching():
+    # Eight workers, more than the cores, fold into adjacent rows of one
+    # stacked accumulator; with the interpreter switching threads as often
+    # as it can, a lost or crossed update would change the bytes.
+    base = dict(algo=Algo.STRIPED, n_devices=8, n_seq=128, d_head=4, tile_q=4, tile_k=4, seed=7)
+    serial = simulate(SimConfig(**base))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            threaded = simulate(SimConfig(executor="threads", **base))
+            assert threaded.output.tobytes() == serial.output.tobytes()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert time.perf_counter() - start < 30.0
 
 
 class InjectedFault(Exception):
