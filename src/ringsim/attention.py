@@ -344,9 +344,11 @@ def accumulate_tile(
             live = allowed.any(axis=1)
             if not live.all():
                 if live.any():
-                    _fold(state, live, scores[live], v_tile)
+                    sub = SoftmaxAccumulator(state.acc[live], state.m[live], state.l[live])
+                    _fold(sub, scores[live], v_tile)
+                    state.acc[live], state.m[live], state.l[live] = sub.acc, sub.m, sub.l
                 return state
-    _fold(state, slice(None), scores, v_tile)
+    _fold(state, scores, v_tile)
     return state
 
 
@@ -374,20 +376,25 @@ def accumulate_causal_rows(
         np.copyto(
             scores[..., diagonal:], -np.inf, where=_strict_upper(rows)[:, : width - diagonal]
         )
-    _fold(state, slice(None), scores, v_keys)
+    _fold(state, scores, v_keys)
     return state
 
 
-def _fold(state, rows, scores, v_tile):
-    """Fold ``scores`` (a work array, overwritten) into ``state[rows]``; keys on axis -1."""
-    m_old = state.m[rows]
-    m_new = np.maximum(m_old, scores.max(axis=-1))
-    carry = np.exp(m_old - m_new)  # exp(-inf - finite) == 0: no prior mass
+def _fold(state, scores, v_tile):
+    """Fold ``scores`` (a work array, overwritten) into ``state``; keys on axis -1.
+
+    The state's arrays are updated in place, so views fold into the arrays
+    they view.
+    """
+    m_new = np.maximum(state.m, scores.max(axis=-1))
+    carry = np.exp(state.m - m_new)  # exp(-inf - finite) == 0: no prior mass
     scores -= m_new[..., None]
     p = np.exp(scores, out=scores)  # masked scores are -inf, exp gives 0
-    state.acc[rows] = state.acc[rows] * carry[..., None] + p @ v_tile
-    state.l[rows] = state.l[rows] * carry + p.sum(axis=-1)
-    state.m[rows] = m_new
+    state.acc *= carry[..., None]
+    state.acc += p @ v_tile
+    state.l *= carry
+    state.l += p.sum(axis=-1)
+    state.m[...] = m_new
 
 
 def finalize(state: SoftmaxAccumulator) -> np.ndarray:

@@ -12,16 +12,16 @@ devices it covers and where a held block comes from. The serial one
 advances all devices one round at a time: in round i the devices holding
 blocks k < j share one mask, those holding k > j another, and the held
 blocks of each range are plain slices of the stacked K and V, so a range
-is folded a group of devices per call. A call covers at most
-``_CHUNK_ROWS`` query rows across the devices in it. The threaded one
-runs the loop over one device per worker, with blocks arriving over
-ordered point-to-point queues. Each device's floating-point accumulation
-order is fixed (rounds in order, row chunks of ``_CHUNK_ROWS`` in order
-within a round, independent of the modelled tile and of the grouping; a
-stacked product makes the same BLAS call per device), so the two are
-bit-identical. The modelled tile only drives the work counters, which
-come from the closed form (``schedule_work_stats``), never from the
-numerics.
+is folded a group of devices per call: as many as fit ``_CALL_SCORES``
+scores per row chunk (8 devices at c = 128, more below it). The
+threaded one runs the loop over one device per worker, with blocks
+arriving over ordered point-to-point queues. Each device's
+floating-point accumulation order is fixed (rounds in order, row chunks
+of ``_CHUNK_ROWS`` in order within a round, independent of the modelled
+tile and of the grouping; a stacked product makes the same BLAS call per
+device), so the two are bit-identical. The modelled tile only drives the
+work counters, which come from the closed form (``schedule_work_stats``),
+never from the numerics.
 
 A held block is folded only where its mask allows work: chunks start at
 the first row that sees a key, every key before a chunk's diagonal
@@ -60,9 +60,12 @@ _CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
 # diagonal square, so fewer rows waste less but pay more calls. Medians of
 # run_schedule at 32, 64 and 128 rows (one BLAS thread, 2-core VM): striped
 # N=8, n=1024 15.7, 11.4, 13.8 ms (ring 11.0, 7.1, 6.7); N=4, n=4096, d=64
-# striped 89, 81, 89 ms, ring 95, 70, 72 ms. A call that folds a group of
-# devices (``_device_rounds``) covers at most this many rows in all too.
+# striped 89, 81, 89 ms, ring 95, 70, 72 ms.
 _CHUNK_ROWS = 64
+# Scores per fold call when a call folds a group of devices
+# (``_device_rounds``): what one device's chunk already reaches against a
+# 1024-key block, so a call's fixed cost is shared by as many devices as fit.
+_CALL_SCORES = 64 * 1024
 
 
 @dataclass
@@ -161,12 +164,14 @@ def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range
     In round i, devices [i, N) hold blocks [0, N - i) and devices [0, i)
     hold blocks [N - i, N). A block's mask depends only on how k compares
     with j, so each range shares one mask, and it is folded in groups of
-    ``max(1, _CHUNK_ROWS // c)`` devices, one fold call per row chunk.
+    ``max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))`` devices, one fold
+    call per row chunk: 8 devices at c = 128 and more below it, 4 at
+    c = 256, 2 at c = 512 and one from c = 513 up.
     ``held(i, a, b)`` returns the (K, V) stacks devices [a, b) hold in
     round i; it is called once per group and round, in round order.
     """
     n, c = config.n_devices, config.block_size
-    group = max(1, _CHUNK_ROWS // c)
+    group = max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))
     first, stop = devices.start, devices.stop
     for i in range(n):
         for lo, hi in ((max(i, first), stop), (first, min(i, stop))):

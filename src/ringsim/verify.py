@@ -35,37 +35,44 @@ class PropertyResult:
 
 
 def check_masks() -> PropertyResult:
-    """Both mask families against raw position arithmetic, pair by pair."""
+    """Both mask families against raw position arithmetic, pair by pair.
+
+    Every (j, k) mask is asked for, and each distinct one is expanded once;
+    each family's (N, N, c, c) stack is compared with the arithmetic over
+    all j, k, x and y at once, and the first (j, k) that differs is named.
+    """
     for n, c in itertools.product((2, 3, 4, 8), (1, 2, 3, 5)):
-        x = np.arange(c)[:, None]
-        y = np.arange(c)[None, :]
-        for j in range(n):
-            for k in range(n):
-                want_ring = (k * c + y) <= (j * c + x)
-                want_striped = (k + y * n) <= (j + x * n)
-                if not np.array_equal(
-                    get_mask_ring(j, k, c, n_devices=n).allowed_block(), want_ring
-                ):
-                    return PropertyResult(
-                        "mask-exhaustive", False, f"ring mask wrong at N={n} c={c} j={j} k={k}"
-                    )
-                if not np.array_equal(
-                    get_mask_striped(j, k, c, n_devices=n).allowed_block(), want_striped
-                ):
-                    return PropertyResult(
-                        "mask-exhaustive", False, f"striped mask wrong at N={n} c={c} j={j} k={k}"
-                    )
+        j, k, x, y = np.ix_(range(n), range(n), range(c), range(c))
+        for family, get_mask, want in (
+            ("ring", get_mask_ring, k * c + y <= j * c + x),
+            ("striped", get_mask_striped, k + y * n <= j + x * n),
+        ):
+            specs = [[get_mask(a, b, c, n_devices=n) for b in range(n)] for a in range(n)]
+            dense = {spec: spec.allowed_block() for spec in set(itertools.chain(*specs))}
+            got = np.array([[dense[spec] for spec in row] for row in specs])
+            bad = np.argwhere((got != want).any(axis=(2, 3)))
+            if bad.size:
+                a, b = bad[0]
+                return PropertyResult(
+                    "mask-exhaustive", False, f"{family} mask wrong at N={n} c={c} j={a} k={b}"
+                )
     return PropertyResult(
         "mask-exhaustive", True, "N in {2,3,4,8}, c in {1,2,3,5}, every (j,k), pair-by-pair"
     )
 
 
+# Tile classes by code: 0 no pair allowed, 1 some, 2 every pair.
+_CLASS_OF_CODE = np.array([TileClass.SKIP, TileClass.PARTIAL, TileClass.FULL], dtype=object)
+
+
 def check_tiles() -> PropertyResult:
     """Tile classes, censuses and pair counts vs enumeration, blocks <= 64x64.
 
-    The dense mask is summed tile by tile in one reshape; every tile's
-    class and ``count_allowed`` are then compared with those sums over
-    the whole grid at once, and the first tile that differs is named.
+    The dense mask is summed tile by tile in one reshape and turned into a
+    class code per tile; ``classify_tiles``' grid is compared with those
+    classes in one list comparison, every tile's ``count_allowed`` with the
+    sums in one array comparison, and the census with the codes' counts.
+    The first tile that differs is named.
     """
     def fail(msg: str) -> PropertyResult:
         return PropertyResult("tile-conservation", False, msg)
@@ -82,14 +89,13 @@ def check_tiles() -> PropertyResult:
                         continue
                     case = f"{kind.value} block {rows}x{cols} tiles {tq}x{tk}"
                     sums = dense.reshape(rows // tq, tq, cols // tk, tk).sum(axis=(1, 3))
-                    want = np.where(sums == 0, TileClass.SKIP, TileClass.PARTIAL)
-                    want[sums == tq * tk] = TileClass.FULL
-                    grid = np.array(classify_tiles(mask, tq, tk), dtype=object)
-                    bad = np.argwhere(grid != want)
-                    if bad.size:
-                        ti, tj = bad[0]
+                    codes = (sums > 0).astype(np.intp) + (sums == tq * tk)
+                    want = _CLASS_OF_CODE[codes]
+                    grid = classify_tiles(mask, tq, tk)
+                    if grid != want.tolist():
+                        ti, tj = np.argwhere(np.array(grid, dtype=object) != want)[0]
                         return fail(
-                            f"{case} tile ({ti},{tj}): {grid[ti, tj].value} != {want[ti, tj].value}"
+                            f"{case} tile ({ti},{tj}): {grid[ti][tj].value} != {want[ti, tj].value}"
                         )
                     r0 = np.arange(rows // tq)[:, None] * tq
                     c0 = np.arange(cols // tk) * tk
@@ -98,9 +104,9 @@ def check_tiles() -> PropertyResult:
                         ti, tj = bad[0]
                         return fail(f"{case} tile ({ti},{tj}): count_allowed mismatch")
                     census = tile_census(mask, tq, tk)
-                    if (census.n_full, census.n_partial, census.n_skip) != tuple(
-                        int((grid == cls).sum())
-                        for cls in (TileClass.FULL, TileClass.PARTIAL, TileClass.SKIP)
+                    n_skip, n_partial, n_full = np.bincount(codes.ravel(), minlength=3)
+                    if (census.n_full, census.n_partial, census.n_skip) != (
+                        n_full, n_partial, n_skip
                     ):
                         return fail(f"{case}: census disagrees with grid counts")
                     if census.n_total * tq * tk != rows * cols:

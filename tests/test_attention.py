@@ -334,6 +334,68 @@ def test_stacked_devices_fold_as_if_alone(diagonal):
         finalize(stacked)
 
 
+def _fold_out_of_place(state, scores, v, rows=slice(None)):
+    """The fold as a formula on copies of ``state``, rows ``rows`` folded.
+
+    The reference for the in-place fold: the same operations in the same
+    order, each writing a new array.
+    """
+    acc, m, l = state.acc.copy(), state.m.copy(), state.l.copy()
+    m_new = np.maximum(m[rows], scores.max(axis=-1))
+    carry = np.exp(m[rows] - m_new)
+    p = np.exp(scores - m_new[..., None])
+    acc[rows] = acc[rows] * carry[..., None] + p @ v
+    l[rows] = l[rows] * carry + p.sum(axis=-1)
+    m[rows] = m_new
+    return acc, m, l
+
+
+def _assert_state_bytes(state, want):
+    for name, arr in zip(("acc", "m", "l"), want):
+        assert getattr(state, name).tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_fold_equals_out_of_place_formula(dtype):
+    # Row views of a stacked (g, rows) state are folded twice, so the carry
+    # meets fresh rows (-inf maximum) and rows with prior mass.
+    rng = np.random.default_rng(11)
+    g, rows, d, d_v = 3, 10, 4, 5
+    state = SoftmaxAccumulator.fresh((g, rows), d_v, dtype)
+    r0, r1, diagonal = 2, 8, 2
+    width = r1 - r0 + diagonal
+    above = np.arange(width) > np.arange(r1 - r0)[:, None] + diagonal
+    for _ in range(2):
+        q, k, v = (rng.standard_normal((g, n, w)).astype(dtype)
+                   for n, w in ((r1 - r0, d), (width, d), (width, d_v)))
+        view = state.rows(r0, r1)
+        scores = q @ k.swapaxes(-1, -2)
+        scores[:, above] = -np.inf
+        want = _fold_out_of_place(view, scores, v)
+        accumulate_causal_rows(view, q, k, v, diagonal)
+        _assert_state_bytes(view, want)
+    assert np.isneginf(state.m[:, :r0]).all() and np.isneginf(state.m[:, r1:]).all()
+    assert not state.l[:, :r0].any() and not state.l[:, r1:].any()
+
+    # accumulate_tile on one device's rows: unmasked, then with dead rows 0
+    # and 1, which its gathered sub-state must leave as they were.
+    allowed = np.arange(width) <= np.arange(r1 - r0)[:, None] - 2
+    live = allowed.any(axis=1)
+    for dev in range(g):
+        tile = SoftmaxAccumulator(state.acc[dev], state.m[dev], state.l[dev]).rows(r0, r1)
+        for mask in (None, allowed):
+            q, k, v = (rng.standard_normal((n, w)).astype(dtype)
+                       for n, w in ((r1 - r0, d), (width, d), (width, d_v)))
+            scores = q @ k.T
+            if mask is None:
+                want = _fold_out_of_place(tile, scores, v)
+            else:
+                scores[~mask] = -np.inf
+                want = _fold_out_of_place(tile, scores[live], v, rows=live)
+            accumulate_tile(tile, q, k, v, mask)
+            _assert_state_bytes(tile, want)
+
+
 def test_causal_rows_reject_dead_rows_and_unseen_keys():
     q, k, v = _causal_inputs(8, 3, 2, 4)
     state = SoftmaxAccumulator.fresh(4, 2)

@@ -184,6 +184,32 @@ def test_exactness_sweep_draws_each_input_once(monkeypatch):
     assert len(calls) == 4  # one draw per (n_seq, seed), shared by both layouts and every N
 
 
+@pytest.mark.parametrize(
+    "family,wrong,detail",
+    [
+        # Block 1 precedes block 2 in the contiguous layout: fully unmasked.
+        ("ring", (3, 2, 2, 1, MaskKind.FULLY_MASKED), "ring mask wrong at N=3 c=2 j=2 k=1"),
+        # Stripe 3 after stripe 1: the exclusive triangle.
+        ("striped", (4, 3, 1, 3, MaskKind.CAUSAL_INCLUSIVE),
+         "striped mask wrong at N=4 c=3 j=1 k=3"),
+    ],
+)
+def test_mask_check_names_the_wrong_pair(monkeypatch, family, wrong, detail):
+    n, c, j, k, kind = wrong
+    name = f"get_mask_{family}"
+    real = getattr(verify, name)
+
+    def one_wrong_mask(a, b, size, n_devices=None):
+        if (n_devices, size, a, b) == (n, c, j, k):
+            return MaskSpec(kind, size, size)
+        return real(a, b, size, n_devices=n_devices)
+
+    monkeypatch.setattr(verify, name, one_wrong_mask)
+    result = verify.check_masks()
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_tile_check_names_the_first_wrong_tile(monkeypatch):
     real_classify = verify.classify_tiles
 

@@ -166,9 +166,13 @@ def test_simulate_matches_oracle(schedule, seed):
 
 
 _CHUNK = simulator._CHUNK_ROWS
-# Block sizes around the grouping: 4, 2 and 1 device per fold call, then
-# one device in one and in two row chunks.
-GROUP_EDGES = (_CHUNK // 4, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1)
+# The serial executor folds max(1, budget // (min(c, _CHUNK) * c)) devices
+# per call. The test lowers the budget to a quarter, so the edges of the
+# rule fall at small blocks: c = 32 folds 16 devices per call (every range
+# whole), 64 folds 4, 65 folds 3 and 128 folds 2 (each in two row chunks),
+# and 129 folds one device per call in three chunks.
+SMALL_BUDGET = 4 * _CHUNK * _CHUNK
+GROUP_EDGES = (_CHUNK // 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
 
 
 @settings(BOUNDED, max_examples=30)
@@ -179,17 +183,23 @@ GROUP_EDGES = (_CHUNK // 4, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1)
     st.sampled_from(["double", "single"]),
     st.integers(0, 2**16),
 )
-# Ragged last groups: 3 devices in groups of 2, 6 and 3 in groups of 4.
-@example(Algo.STRIPED, 3, _CHUNK // 2, "double", 1)
-@example(Algo.RING, 6, _CHUNK // 4, "single", 2)
-@example(Algo.STRIPED, 6, _CHUNK // 4, "double", 3)
-@example(Algo.RING, 3, _CHUNK // 2, "single", 4)
+# Every range in one call.
+@example(Algo.STRIPED, 8, _CHUNK // 2, "double", 1)
+# Ragged last groups: 6 devices in groups of 4, 5 in groups of 3.
+@example(Algo.STRIPED, 6, _CHUNK, "double", 2)
+@example(Algo.RING, 5, _CHUNK + 1, "single", 3)
+# One device per call.
+@example(Algo.STRIPED, 3, 2 * _CHUNK + 1, "single", 4)
+# Blocks of two row chunks, several devices per call.
+@example(Algo.RING, 8, 2 * _CHUNK, "double", 5)
+@example(Algo.STRIPED, 7, _CHUNK + 1, "double", 6)
 def test_grouped_serial_fold_equals_threads_and_oracle(algo, n, c, precision, seed):
-    # Serial folds max(1, _CHUNK_ROWS // c) devices per call, threads one:
-    # the bytes must not depend on the grouping.
+    # Serial folds a group of devices per call, threads one: the bytes
+    # must not depend on the grouping.
     base = dict(algo=algo, n_devices=n, n_seq=n * c, d_head=4, tile_q=c, tile_k=c, seed=seed,
                 precision=precision)
-    serial = simulate(SimConfig(**base))
+    with mock.patch.object(simulator, "_CALL_SCORES", SMALL_BUDGET):
+        serial = simulate(SimConfig(**base))
     threaded = simulate(SimConfig(executor="threads", **base))
     assert serial.output.tobytes() == threaded.output.tobytes()
     assert oracle_error(serial) <= ORACLE_TOLERANCE[precision]
