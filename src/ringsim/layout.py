@@ -13,8 +13,7 @@ layout-agnostic: only mask construction differs between the schemes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,32 +38,13 @@ def check_split(n_seq: int, n_devices: int) -> int:
 
 
 @dataclass(frozen=True)
-class Shard:
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
 class PermutedBatch:
-    """Q/K/V stacked by device, (N, c, d), plus companions riding the same permutation.
-
-    ``shards[d]`` holds views of row d of the stacked arrays.
-    """
+    """Q/K/V stacked by device, (N, c, d): ``q[j, x]`` is local row x of device j."""
 
     layout: "Layout"
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    companions: list[tuple]
-    shards: list[Shard] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shards = [Shard(*per_device) for per_device in zip(self.q, self.k, self.v)]
-        object.__setattr__(self, "shards", shards)
-
-    def gather_companion(self, index: int) -> np.ndarray:
-        return self.layout.gather([per_device[index] for per_device in self.companions])
 
 
 @dataclass(frozen=True)
@@ -74,6 +54,7 @@ class Layout:
     n_devices: int
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Algo(self.scheme))
         check_split(self.n_seq, self.n_devices)
 
     @property
@@ -82,15 +63,11 @@ class Layout:
 
     def global_of(self, device: int, local: int) -> int:
         """Original sequence position of local row `local` on `device`."""
-        if not 0 <= local < self.block_size:
-            raise ValueError(f"local index {local} out of range (block size {self.block_size})")
-        return int(self.device_globals(device)[local])
-
-    def device_globals(self, device: int) -> np.ndarray:
-        """All original positions owned by `device`, in local-row order."""
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range (N={self.n_devices})")
-        return self.positions()[device]
+        if not 0 <= local < self.block_size:
+            raise ValueError(f"local index {local} out of range (block size {self.block_size})")
+        return int(self.positions()[device, local])
 
     def positions(self) -> np.ndarray:
         """(N, c) table of original positions: row d is device d's, in local-row order."""
@@ -99,34 +76,26 @@ class Layout:
             return order.reshape(self.n_devices, self.block_size)
         return order.reshape(self.block_size, self.n_devices).T
 
-    def partition(self, q, k, v, companions: Sequence = ()) -> PermutedBatch:
-        """Split Q/K/V rows (and any companion arrays) across devices.
+    def partition(self, q, k, v) -> PermutedBatch:
+        """Split Q/K/V rows across devices.
 
         Row ``global_of(d, x)`` of every input lands at local row x of
-        device d; companion arrays (position ids, target ids, ...) are
-        opaque payloads permuted identically. Each input is gathered once
-        into an (N, c, ...) array.
+        device d. Each input is gathered once into an (N, c, ...) array.
         """
         q, k, v = (np.asarray(x) for x in (q, k, v))
         for name, x in (("Q", q), ("K", k), ("V", v)):
             if x.ndim != 2 or x.shape[0] != self.n_seq:
                 raise ValueError(f"{name} must have {self.n_seq} rows, got shape {tuple(x.shape)}")
-        comps = [np.asarray(a) for a in companions]
-        for i, a in enumerate(comps):
-            if a.shape[0] != self.n_seq:
-                raise ValueError(f"companion {i} must have length {self.n_seq}, got {a.shape[0]}")
         order = self.positions()
-        comps = [a[order] for a in comps]
-        per_device = [tuple(a[d] for a in comps) for d in range(self.n_devices)]
-        return PermutedBatch(self, q[order], k[order], v[order], per_device)
+        return PermutedBatch(self, q[order], k[order], v[order])
 
-    def gather(self, shards) -> np.ndarray:
+    def gather(self, per_device) -> np.ndarray:
         """Exact inverse of partition for per-device tensors, stacked (N, c, ...) or a list."""
-        stacked = np.asarray(shards)  # a ragged list raises ValueError here
+        stacked = np.asarray(per_device)  # a ragged list raises ValueError here
         if stacked.shape[:2] != (self.n_devices, self.block_size):
             raise ValueError(
-                f"shards have shape {stacked.shape}, expected {self.n_devices} devices "
-                f"x {self.block_size} rows"
+                f"per-device outputs have shape {stacked.shape}, expected {self.n_devices} "
+                f"devices x {self.block_size} rows"
             )
         out = np.empty((self.n_seq,) + stacked.shape[2:], dtype=stacked.dtype)
         out[self.positions()] = stacked

@@ -83,6 +83,11 @@ class SimConfig:
 
     def __post_init__(self):
         self.algo = Algo(self.algo)
+        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         c = check_split(self.n_seq, self.n_devices)
         if self.d_head < 1:
             raise ValueError(f"d_head must be positive, got {self.d_head}")
@@ -256,19 +261,18 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
     masks and the tiling only.
     """
     n, c = config.n_devices, config.block_size
-    if batch.layout.scheme is not config.algo:
-        raise ValueError(
-            f"batch is partitioned for {batch.layout.scheme.value}, "
-            f"but the config runs {config.algo.value}"
-        )
-    if batch.layout.n_seq != config.n_seq or batch.layout.n_devices != n:
-        raise ValueError("batch layout does not match the simulation config")
+    layout = make_layout(config)
+    if batch.layout != layout:
+        raise ValueError(f"batch is partitioned as {batch.layout}, but the config runs {layout}")
     want = (n, c, config.d_head)
     if batch.q.shape != want or batch.k.shape != want or batch.v.shape[:2] != want[:2]:
         raise ValueError(
             f"batch Q/K/V shapes {batch.q.shape}, {batch.k.shape}, {batch.v.shape} do not "
             f"match {n} devices x block {c} x d_head {config.d_head}"
         )
+    for name, x in zip("QKV", (batch.q, batch.k, batch.v)):
+        if x.dtype != config.dtype:
+            raise ValueError(f"batch {name} is {x.dtype}, the config needs {np.dtype(config.dtype)}")
     acc = SoftmaxAccumulator.fresh((n, c), batch.v.shape[2], config.dtype)
     run = _run_threads if config.executor == "threads" else _run_serial
     run(config, batch, acc)
@@ -376,14 +380,13 @@ def simulated_speedup(ring_stats: Sequence[WorkStats], striped_stats: Sequence[W
 
 @dataclass
 class SimRun:
-    """One end-to-end simulation: inputs, per-device results, reassembled output."""
+    """One end-to-end simulation: inputs, per-device stats, reassembled output."""
 
     config: SimConfig
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     layout: Layout
-    outputs: np.ndarray  # stacked by device, (N, c, d_v), in the layout's local order
     stats: list[WorkStats]
     output: np.ndarray  # rows back in original token order
 
@@ -404,7 +407,7 @@ def simulate(config: SimConfig, inputs=None) -> SimRun:
     q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q
     batch = layout.partition(q_in, k, v)
     outputs, stats = run_schedule(config, batch)
-    return SimRun(config, q, k, v, layout, outputs, stats, layout.gather(outputs))
+    return SimRun(config, q, k, v, layout, stats, layout.gather(outputs))
 
 
 # Max abs error against the dense oracle that a run may show, per precision.

@@ -1,0 +1,166 @@
+"""Mutation check of the tier-1 suite: every mutant below must make it fail.
+
+Run by hand from anywhere: ``python tests/mutants.py``. pytest does not
+collect this file. Each mutant is one exact string replacement that must
+match its file exactly once; it is applied to a fresh copy of ``src/`` in
+a temporary directory, and the tier-1 suite (``tests/``) runs against that
+copy with ``-x -q``. The runner checks that ``ringsim`` was imported from
+the copy before it starts pytest. The unmutated copy runs first and must
+pass, so a mutant counts as killed only because of what it changed.
+
+Exit status: 0 when every mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/ringsim, exact text, replacement)
+MUTANTS = [
+    (
+        "one tile class flipped in classify_tiles",
+        "attention.py",
+        "    return _TILE_CLASSES[live.astype(np.intp) + full].tolist()",
+        "    codes = live.astype(np.intp) + full\n"
+        "    codes[-1, 0] = (codes[-1, 0] + 1) % 3\n"
+        "    return _TILE_CLASSES[codes].tolist()",
+    ),
+    (
+        "count_allowed counts the exclusive triangle as inclusive",
+        "attention.py",
+        "        s = self.diagonal + 1 - c0",
+        "        s = self.diagonal + 1 - c0 + (self.diagonal == -1)",
+    ),
+    (
+        "striped mask wrong at one (j, k)",
+        "attention.py",
+        "    kind = MaskKind.CAUSAL_INCLUSIVE if k <= j else MaskKind.CAUSAL_EXCLUSIVE",
+        "    kind = (MaskKind.CAUSAL_INCLUSIVE if k <= j or (j, k) == (2, 3)\n"
+        "            else MaskKind.CAUSAL_EXCLUSIVE)",
+    ),
+    (
+        "group K/V slice shifted by one device",
+        "simulator.py",
+        "        k0 = (a - i) % n  #",
+        "        k0 = (a + 1 - i) % n  #",
+    ),
+    (
+        "one ulp added to acc in _fold",
+        "attention.py",
+        "    state.acc += p @ v_tile\n",
+        "    state.acc += p @ v_tile\n    state.acc[...] = np.nextafter(state.acc, np.inf)\n",
+    ),
+    (
+        "threaded executor: a failing worker does not abort its peers",
+        "simulator.py",
+        "            for inbox in inboxes:\n",
+        "            for inbox in []:\n",
+    ),
+    (
+        "check_sequence: no range check before the cast",
+        "attention.py",
+        '        if arr.dtype.kind == "f" and (np.isfinite(arr)',
+        '        if arr.dtype.kind == "F" and (np.isfinite(arr)',
+    ),
+    (
+        "critical_path_required takes the lighter relation",
+        "simulator.py",
+        "    return own + (n_devices - 1) * max(below, above)",
+        "    return own + (n_devices - 1) * min(below, above)",
+    ),
+    (
+        "_fold_block visits the exclusive triangle's dead row 0",
+        "simulator.py",
+        "    for r0 in range(max(0, -d), mask.block_rows, _CHUNK_ROWS):",
+        "    for r0 in range(0, mask.block_rows, _CHUNK_ROWS):",
+    ),
+    (
+        "Layout keeps a scheme name uncoerced",
+        "layout.py",
+        '        object.__setattr__(self, "scheme", Algo(self.scheme))\n',
+        "",
+    ),
+    (
+        "run_schedule checks only the dtype kind",
+        "simulator.py",
+        "        if x.dtype != config.dtype:",
+        "        if x.dtype.kind != np.dtype(config.dtype).kind:",
+    ),
+    (
+        "SimConfig accepts bool sizes",
+        "simulator.py",
+        "            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "            if not isinstance(value, (int, np.integer)):",
+    ),
+    (
+        "striped positions() not transposed",
+        "layout.py",
+        "        return order.reshape(self.block_size, self.n_devices).T",
+        "        return order.reshape(self.n_devices, self.block_size)",
+    ),
+]
+
+# Imports ringsim, and runs pytest only if it came from the copy (else exits 99).
+_RUNNER = (
+    "import sys, pytest, ringsim; "
+    "sys.exit(pytest.main(sys.argv[2:]) if ringsim.__file__.startswith(sys.argv[1]) else 99)"
+)
+
+
+def _mutated_source(name: str, file: str, old: str, new: str) -> tuple[Path, str]:
+    path = Path("ringsim") / file
+    text = (ROOT / "src" / path).read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant {name!r}: its text occurs {text.count(old)} times in {path}")
+    return path, text.replace(old, new)
+
+
+def _run_suite(src: Path) -> tuple[int, str]:
+    """Exit code of the tier-1 suite against ``src``, and its deciding output line."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-c", _RUNNER, str(src), "-x", "-q", "-p", "no:cacheprovider"]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return proc.returncode, (failed or lines[-1:] or ["(no output)"])[0][:110]
+
+
+def main() -> int:
+    sources = [(name, *_mutated_source(name, *edit)) for name, *edit in MUTANTS]
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="ringsim-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        for name, path, text in [("unmutated", None, None)] + sources:
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            if path is not None:
+                (src / path).write_text(text)
+            start = time.perf_counter()
+            code, line = _run_suite(src)
+            if code == 99:
+                raise SystemExit("the suite did not import ringsim from the mutated copy")
+            if path is None:
+                if code != 0:
+                    raise SystemExit(f"the unmutated suite fails (exit {code}): {line}")
+                verdict = "passes"
+            else:
+                verdict = "killed" if code != 0 else "SURVIVED"
+                if code == 0:
+                    survivors.append(name)
+            print(f"{verdict:8} {time.perf_counter() - start:5.1f}s  {name}\n         {line}")
+    print(f"{len(sources) - len(survivors)} of {len(sources)} mutants killed")
+    for name in survivors:
+        print(f"survived: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

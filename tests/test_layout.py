@@ -31,6 +31,18 @@ def test_global_of_range_checks():
         layout.global_of(0, 4)
 
 
+@pytest.mark.parametrize("scheme", list(Algo), ids=lambda a: a.value)
+def test_layout_takes_the_scheme_by_name(scheme):
+    by_name = Layout(scheme.value, 8, 2)
+    assert by_name.scheme is scheme
+    np.testing.assert_array_equal(by_name.positions(), Layout(scheme, 8, 2).positions())
+
+
+def test_layout_rejects_an_unknown_scheme_name():
+    with pytest.raises(ValueError):
+        Layout("zigzag", 8, 2)
+
+
 def test_layout_requires_even_division():
     with pytest.raises(ValueError):
         Layout(Algo.RING, 16, 3)
@@ -52,23 +64,23 @@ def test_partition_striped_rows():
     layout = Layout(Algo.STRIPED, 4, 2)
     rows = np.arange(4.0)[:, None]
     batch = layout.partition(rows, rows, rows)
-    np.testing.assert_array_equal(batch.shards[0].q[:, 0], [0.0, 2.0])
-    np.testing.assert_array_equal(batch.shards[1].q[:, 0], [1.0, 3.0])
+    np.testing.assert_array_equal(batch.q[0, :, 0], [0.0, 2.0])
+    np.testing.assert_array_equal(batch.q[1, :, 0], [1.0, 3.0])
 
 
 def test_partition_contiguous_rows():
     layout = Layout(Algo.RING, 4, 2)
     rows = np.arange(4.0)[:, None]
     batch = layout.partition(rows, rows, rows)
-    np.testing.assert_array_equal(batch.shards[0].q[:, 0], [0.0, 1.0])
-    np.testing.assert_array_equal(batch.shards[1].q[:, 0], [2.0, 3.0])
+    np.testing.assert_array_equal(batch.q[0, :, 0], [0.0, 1.0])
+    np.testing.assert_array_equal(batch.q[1, :, 0], [2.0, 3.0])
 
 
 def test_gather_identity_sequence():
     layout = Layout(Algo.STRIPED, 16, 4)
     ident = np.arange(16.0)[:, None]
     batch = layout.partition(ident, ident, ident)
-    np.testing.assert_array_equal(layout.gather([sh.q for sh in batch.shards]), ident)
+    np.testing.assert_array_equal(layout.gather(list(batch.q)), ident)
 
 
 @SCHEMES
@@ -79,33 +91,17 @@ def test_gather_inverts_partition(scheme, n_devices):
     layout = Layout(scheme, n_seq, n_devices)
     q, k, v = (rng.standard_normal((n_seq, 5)) for _ in range(3))
     batch = layout.partition(q, k, v)
-    np.testing.assert_array_equal(layout.gather([sh.q for sh in batch.shards]), q)
-    np.testing.assert_array_equal(layout.gather([sh.k for sh in batch.shards]), k)
-    np.testing.assert_array_equal(layout.gather([sh.v for sh in batch.shards]), v)
-
-
-def test_companions_ride_the_same_permutation():
-    layout = Layout(Algo.STRIPED, 8, 2)
-    x = np.zeros((8, 1))
-    positions = np.arange(8)
-    targets = np.arange(100, 108)
-    batch = layout.partition(x, x, x, companions=[positions, targets])
-    np.testing.assert_array_equal(batch.companions[0][0], [0, 2, 4, 6])
-    np.testing.assert_array_equal(batch.companions[1][0], [1, 3, 5, 7])
-    np.testing.assert_array_equal(batch.gather_companion(0), positions)
-    np.testing.assert_array_equal(batch.gather_companion(1), targets)
+    np.testing.assert_array_equal(layout.gather(list(batch.q)), q)
+    np.testing.assert_array_equal(layout.gather(list(batch.k)), k)
+    np.testing.assert_array_equal(layout.gather(list(batch.v)), v)
 
 
 @SCHEMES
-def test_shards_are_views_of_the_stacked_arrays(scheme):
+def test_partition_stacks_by_device(scheme):
     layout = Layout(scheme, 12, 3)
     q, k, v = (np.arange(24.0).reshape(12, 2) + offset for offset in (0, 100, 200))
     batch = layout.partition(q, k, v)
     assert batch.q.shape == batch.k.shape == batch.v.shape == (3, 4, 2)
-    for d, sh in enumerate(batch.shards):
-        for part, stacked in ((sh.q, batch.q), (sh.k, batch.k), (sh.v, batch.v)):
-            assert np.shares_memory(part, stacked[d])
-            np.testing.assert_array_equal(part, stacked[d])
     np.testing.assert_array_equal(layout.gather(batch.q), q)  # stacked, one scatter
     np.testing.assert_array_equal(layout.gather(list(batch.v)), v)
 
@@ -114,8 +110,6 @@ def test_partition_and_gather_shape_errors():
     layout = Layout(Algo.STRIPED, 8, 2)
     with pytest.raises(ValueError):
         layout.partition(np.zeros((6, 2)), np.zeros((8, 2)), np.zeros((8, 2)))
-    with pytest.raises(ValueError):
-        layout.partition(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros((8, 2)), companions=[np.arange(5)])
     with pytest.raises(ValueError):
         layout.gather([np.zeros((4, 2))])  # wrong shard count
     with pytest.raises(ValueError):
@@ -133,14 +127,12 @@ def test_attention_commutes_with_the_striped_permutation(n_devices):
     layout = Layout(Algo.STRIPED, n_seq, n_devices)
     q, k, v = (rng.standard_normal((n_seq, 4)) for _ in range(3))
     batch = layout.partition(q, k, v)
-    qp = np.concatenate([sh.q for sh in batch.shards])
-    kp = np.concatenate([sh.k for sh in batch.shards])
-    vp = np.concatenate([sh.v for sh in batch.shards])
+    qp, kp, vp = (x.reshape(n_seq, -1) for x in (batch.q, batch.k, batch.v))
     c = layout.block_size
     original = [layout.global_of(p // c, p % c) for p in range(n_seq)]
     allowed = [[original[col] <= original[row] for col in range(n_seq)] for row in range(n_seq)]
     permuted_out = dense_masked_reference(qp, kp, vp, allowed)
-    shards = [permuted_out[d * c:(d + 1) * c] for d in range(n_devices)]
-    got = layout.gather(shards)
+    per_device = [permuted_out[d * c:(d + 1) * c] for d in range(n_devices)]
+    got = layout.gather(per_device)
     want = oracle_causal_attention(q, k, v)
     assert np.max(np.abs(got - want)) <= 1e-12

@@ -230,9 +230,23 @@ def test_gather_inverts_partition(scheme, n, c, width):
     rng = np.random.default_rng(n * c)
     q, k, v = (rng.standard_normal((n * c, width)) for _ in range(3))
     batch = layout.partition(q, k, v)
-    assert np.array_equal(layout.gather([sh.q for sh in batch.shards]), q)
-    assert np.array_equal(layout.gather([sh.k for sh in batch.shards]), k)
-    assert np.array_equal(layout.gather([sh.v for sh in batch.shards]), v)
+    assert np.array_equal(layout.gather(list(batch.q)), q)
+    assert np.array_equal(layout.gather(list(batch.k)), k)
+    assert np.array_equal(layout.gather(list(batch.v)), v)
+
+
+@BOUNDED
+@given(st.sampled_from(list(Algo)), st.integers(2, 16), st.integers(1, 16))
+def test_positions_place_every_row(scheme, n, c):
+    layout = Layout(scheme, n * c, n)
+    rows = np.arange(n * c)[:, None] * np.ones(2)
+    batch = layout.partition(rows, rows, rows)
+    order = layout.positions()
+    for d in range(n):
+        for x in range(c):
+            want = d * c + x if scheme is Algo.RING else d + x * n
+            assert layout.global_of(d, x) == order[d, x] == want
+            assert np.array_equal(batch.q[d, x], rows[order[d, x]])
 
 
 @pytest.mark.parametrize("algo", list(Algo))

@@ -39,6 +39,35 @@ def test_config_divisibility_checks():
                   precision="half")
 
 
+SIZES = dict(n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
+
+
+@pytest.mark.parametrize("name", list(SIZES))
+@pytest.mark.parametrize("bad", [2.0, True, "2", None])
+def test_config_rejects_non_integer_sizes(name, bad):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(algo=Algo.RING, **{**SIZES, name: bad})
+
+
+def test_config_takes_numpy_integers():
+    config = SimConfig(algo="ring", **{name: np.int64(v) for name, v in SIZES.items()})
+    assert config == SimConfig(algo=Algo.RING, **SIZES)
+    assert all(type(getattr(config, name)) is int for name in SIZES)
+
+
+@pytest.mark.parametrize("precision,dtype", [("double", np.float32), ("single", np.float64),
+                                             ("double", np.int64)])
+@pytest.mark.parametrize("which", range(3))
+def test_run_schedule_rejects_a_batch_of_another_dtype(precision, dtype, which):
+    config = SimConfig(algo=Algo.STRIPED, precision=precision, **SIZES)
+    qkv = [x.astype(config.dtype) for x in random_qkv(8, 4, 0)]
+    qkv[which] = (qkv[which] * 4).astype(dtype)
+    batch = make_layout(config).partition(*qkv)
+    with pytest.raises(ValueError, match=rf"{'QKV'[which]} is {np.dtype(dtype)}.*"
+                                         rf"{np.dtype(config.dtype)}"):
+        run_schedule(config, batch)
+
+
 def test_run_schedule_rejects_mismatched_batch():
     config = SimConfig(algo=Algo.STRIPED, n_devices=4, n_seq=16, d_head=4, tile_q=2, tile_k=2)
     wrong_layout = make_layout(
