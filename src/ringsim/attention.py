@@ -101,45 +101,27 @@ class MaskSpec:
         diagonal = _DIAGONAL[self.kind](self.block_rows, self.block_cols)
         object.__setattr__(self, "diagonal", diagonal)
 
-    def _bounds(self, r0, r1, c0, c1):
-        r1 = self.block_rows if r1 is None else r1
-        c1 = self.block_cols if c1 is None else c1
-        # & rather than chained comparisons, so integer arrays of bounds pass too.
-        ok = (0 <= r0) & (r0 < r1) & (r1 <= self.block_rows)
-        ok = ok & (0 <= c0) & (c0 < c1) & (c1 <= self.block_cols)
-        if not (ok if isinstance(ok, bool) else ok.all()):
-            raise ValueError(
-                f"tile [{r0}:{r1}, {c0}:{c1}] out of range for a "
-                f"{self.block_rows}x{self.block_cols} block"
-            )
-        return r0, r1, c0, c1
-
-    def allowed_block(self, r0=0, r1=None, c0=0, c1=None) -> np.ndarray:
-        """Boolean matrix of allowed pairs for a sub-block of the mask."""
-        r0, r1, c0, c1 = self._bounds(r0, r1, c0, c1)
+    def allowed_block(self) -> np.ndarray:
+        """Boolean (rows, cols) matrix of the block's allowed pairs."""
         d = self.diagonal
-        return np.arange(c0, c1) <= np.arange(r0 + d, r1 + d)[:, None]
+        return np.arange(self.block_cols) <= np.arange(d, self.block_rows + d)[:, None]
 
-    def count_allowed(self, r0=0, r1=None, c0=0, c1=None):
-        """Number of allowed pairs in a sub-block, in closed form.
+    def count_allowed(self) -> int:
+        """Number of allowed pairs, in closed form.
 
-        Row x allows clip(x + s, 0, width) keys of the sub-block, with
-        s = diagonal + 1 - c0, so rows [r0, r1) allow G(r1 + s) - G(r0 + s)
-        pairs, G(z) = sum of clip(u, 0, width) over u < z. Python int bounds
-        give an exact int; integer arrays of bounds (broadcast together) give
-        an array of counts, one per sub-block.
+        Row x allows clip(x + s, 0, cols) keys, with s = diagonal + 1, so
+        the block allows G(rows + s) - G(s) pairs, G(z) = sum of
+        clip(u, 0, cols) over u < z.
         """
-        r0, r1, c0, c1 = self._bounds(r0, r1, c0, c1)
-        width = c1 - c0
-        s = self.diagonal + 1 - c0
-        return _clipped_prefix_sum(r1 + s, width) - _clipped_prefix_sum(r0 + s, width)
+        s, width = self.diagonal + 1, self.block_cols
+        return _clipped_prefix_sum(self.block_rows + s, width) - _clipped_prefix_sum(s, width)
 
 
-def _clipped_prefix_sum(z, width):
-    """Sum of clip(u, 0, width) over integers u < z; branch-free, so arrays work too."""
-    z1 = (z - 1) * (z > 1)                # max(z - 1, 0): u runs over 1 .. z1
-    m = z1 - (z1 - width) * (z1 > width)  # min(z1, width): u up to m counts u
-    return m * (m + 1) // 2 + (z1 - m) * width
+def _clipped_prefix_sum(z: int, width: int) -> int:
+    """Sum of clip(u, 0, width) over integers u < z."""
+    top = max(z - 1, 0)  # u runs over 1 .. top
+    m = min(top, width)  # u up to m counts u, the rest count width
+    return m * (m + 1) // 2 + (top - m) * width
 
 
 # Query rows per oracle panel. Panels never build the n x n scores: at
@@ -188,23 +170,19 @@ def oracle_causal_attention(q, k, v, scale: bool = False) -> np.ndarray:
     return out
 
 
-def _check_block_indices(j, k, c, n_devices):
-    if j < 0 or k < 0:
-        raise ValueError(f"block indices must be non-negative, got j={j}, k={k}")
-    if n_devices is not None and (j >= n_devices or k >= n_devices):
+def _check_block_indices(j, k, n_devices):
+    if not (0 <= j < n_devices and 0 <= k < n_devices):
         raise ValueError(f"block indices j={j}, k={k} out of range for {n_devices} devices")
-    if c < 1:
-        raise ValueError(f"block size must be positive, got {c}")
 
 
-def get_mask_ring(j: int, k: int, c: int, n_devices: int | None = None) -> MaskSpec:
+def get_mask_ring(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
     """Block mask for the contiguous layout: query block j vs key block k.
 
     Every key of an earlier block precedes every query of a later block,
     so off-diagonal blocks are all-or-nothing; only the diagonal block is
     triangular.
     """
-    _check_block_indices(j, k, c, n_devices)
+    _check_block_indices(j, k, n_devices)
     if k > j:
         kind = MaskKind.FULLY_MASKED
     elif k == j:
@@ -214,7 +192,7 @@ def get_mask_ring(j: int, k: int, c: int, n_devices: int | None = None) -> MaskS
     return MaskSpec(kind, c, c)
 
 
-def get_mask_striped(j: int, k: int, c: int, n_devices: int | None = None) -> MaskSpec:
+def get_mask_striped(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
     """Block mask for the striped layout: query stripe j vs key stripe k.
 
     Local row x of stripe j sits at original position ``j + x*N`` and
@@ -223,13 +201,21 @@ def get_mask_striped(j: int, k: int, c: int, n_devices: int | None = None) -> Ma
     k <= j and excludes it when k > j. Every block keeps close to half
     its work, which is what balances the schedule.
     """
-    _check_block_indices(j, k, c, n_devices)
+    _check_block_indices(j, k, n_devices)
     kind = MaskKind.CAUSAL_INCLUSIVE if k <= j else MaskKind.CAUSAL_EXCLUSIVE
     return MaskSpec(kind, c, c)
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy integer, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> tuple[int, int]:
-    """Tile-grid shape of a block; each tile side must divide the block side."""
+    """Tile-grid shape of a block; each tile side must be an integer dividing the block side."""
+    tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)
     if tile_q < 1 or block_rows % tile_q:
         raise ValueError(f"tile_q={tile_q} does not divide block_rows={block_rows}")
     if tile_k < 1 or block_cols % tile_k:

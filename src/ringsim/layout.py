@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import check_integer
+
 
 class Algo(enum.Enum):
     """Token layout, and with it the schedule's block masks.
@@ -29,7 +31,8 @@ class Algo(enum.Enum):
 
 
 def check_split(n_seq: int, n_devices: int) -> int:
-    """Block size of an even split of n_seq tokens over n_devices >= 2 devices."""
+    """Block size of an even split of n_seq tokens over n_devices >= 2 devices, both integers."""
+    n_seq, n_devices = check_integer("n_seq", n_seq), check_integer("n_devices", n_devices)
     if n_devices < 2:
         raise ValueError(f"need at least 2 devices, got {n_devices}")
     if n_seq < n_devices or n_seq % n_devices != 0:

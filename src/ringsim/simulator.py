@@ -6,7 +6,10 @@ that block to its ring successor and receives from its predecessor. The
 contiguous and striped layouts share the identical schedule; they differ
 only in which mask a (query block, key block) pair produces.
 
-Q, K, V and the softmax state are stacked by device, (N, c, ...). Both
+Q, K, V and the softmax state are stacked by device, (N, c, ...). A held
+key block k is the device's own (k = j), an earlier (k < j) or a later
+one (k > j), and each relation has one mask (``_relation_masks``): both
+executors and the closed-form counters read those three. Both
 executors run one round loop (``_device_rounds``) and differ only in which
 devices it covers and where a held block comes from. The serial one
 advances all devices one round at a time: in round i the devices holding
@@ -44,6 +47,7 @@ from .attention import (
     MaskSpec,
     SoftmaxAccumulator,
     accumulate_causal_rows,
+    check_integer,
     check_sequence,
     check_tiling,
     finalize,
@@ -68,7 +72,7 @@ _CHUNK_ROWS = 64
 _CALL_SCORES = 64 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     algo: Algo
     n_devices: int
@@ -82,16 +86,13 @@ class SimConfig:
     executor: str = "serial"   # "serial" | "threads"
 
     def __post_init__(self):
-        self.algo = Algo(self.algo)
-        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+        object.__setattr__(self, "algo", Algo(self.algo))
         c = check_split(self.n_seq, self.n_devices)
-        if self.d_head < 1:
+        if check_integer("d_head", self.d_head) < 1:
             raise ValueError(f"d_head must be positive, got {self.d_head}")
         check_tiling(c, c, self.tile_q, self.tile_k)
+        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.precision not in ("double", "single"):
             raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
         if self.executor not in ("serial", "threads"):
@@ -135,12 +136,6 @@ def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
 
 
-def _block_mask(algo: Algo, j: int, k: int, c: int, n_devices: int):
-    if algo is Algo.RING:
-        return get_mask_ring(j, k, c, n_devices=n_devices)
-    return get_mask_striped(j, k, c, n_devices=n_devices)
-
-
 def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
     """Fold held K/V blocks into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
 
@@ -168,7 +163,8 @@ def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range
 
     In round i, devices [i, N) hold blocks [0, N - i) and devices [0, i)
     hold blocks [N - i, N). A block's mask depends only on how k compares
-    with j, so each range shares one mask, and it is folded in groups of
+    with j, so each range shares one of the three ``_relation_masks``
+    and is folded in groups of
     ``max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))`` devices, one fold
     call per row chunk: 8 devices at c = 128 and more below it, 4 at
     c = 256, 2 at c = 512 and one from c = 513 up.
@@ -178,12 +174,13 @@ def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range
     n, c = config.n_devices, config.block_size
     group = max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))
     first, stop = devices.start, devices.stop
+    own, below, above = _relation_masks(config.algo, n, c)
     for i in range(n):
-        for lo, hi in ((max(i, first), stop), (first, min(i, stop))):
+        for lo, hi, mask in ((max(i, first), stop, below if i else own),
+                             (first, min(i, stop), above)):
             for a in range(lo, hi, group):
                 b = min(a + group, hi)
                 k, v = held(i, a, b)
-                mask = _block_mask(config.algo, a, (a - i) % n, c, n)
                 _fold_block(acc.devices(a, b), mask, q[a:b], k, v)
 
 
@@ -289,9 +286,7 @@ def schedule_work_stats(
     of the schedule's three masks (``_relation_masks``) is counted once.
     Partial tiles are charged their whole area as computed.
     """
-    algo = Algo(algo)
-    if n_devices < 2:
-        raise ValueError(f"need at least 2 devices, got {n_devices}")
+    check_split(n_devices * block_size, n_devices)
     area = tile_q * tile_k
     counters = []  # RoundStats fields of the own block, k < j and k > j
     for mask in _relation_masks(algo, n_devices, block_size):
@@ -324,16 +319,16 @@ def schedule_work_stats(
 
 
 def _relation_masks(algo: Algo, n_devices: int, block_size: int) -> tuple[MaskSpec, ...]:
-    """The masks of blocks (0, 0), (1, 0) and (0, 1).
+    """The masks of blocks (0, 0), (1, 0) and (0, 1): own, below and above.
 
     Round 0 holds only own blocks (k = j). Every later round i holds
     blocks with k < j (devices j >= i) and with k > j (devices j < i),
     and both mask families depend only on how k compares with j, so
-    these three stand for every (j, k) of the schedule.
+    these three stand for every (j, k) of the schedule, as
+    ``verify.check_masks`` confirms against position arithmetic.
     """
-    return tuple(
-        _block_mask(algo, j, k, block_size, n_devices) for j, k in ((0, 0), (1, 0), (0, 1))
-    )
+    get_mask = get_mask_ring if Algo(algo) is Algo.RING else get_mask_striped
+    return tuple(get_mask(j, k, block_size, n_devices) for j, k in ((0, 0), (1, 0), (0, 1)))
 
 
 def round_critical_path(stats: Sequence[WorkStats], round_i: int) -> int:
@@ -358,7 +353,6 @@ def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     Round 0 holds the own blocks, every later round one block of each
     other relation (``_relation_masks``).
     """
-    algo = Algo(algo)
     check_split(n_devices * block_size, n_devices)
     own, below, above = (m.count_allowed() for m in _relation_masks(algo, n_devices, block_size))
     return own + (n_devices - 1) * max(below, above)

@@ -3,7 +3,8 @@
 The dense references are deliberately written with plain Python loops and
 math.exp (no shared code with the package) so they stay independent of the
 implementations they check. The work-counter reference enumerates every
-tile of every (device, round) instead of using the closed-form census.
+tile of every (device, round) instead of using the closed-form census, and
+sums the dense mask instead of using the closed-form pair count.
 """
 
 import math
@@ -53,15 +54,15 @@ def enumerated_work_stats(algo, n_devices, block_size, tile_q, tile_k):
         for i in range(n_devices):
             k = (j - i) % n_devices
             mask = mask_fn(j, k, block_size, n_devices=n_devices)
+            dense = mask.allowed_block()
             counts = dict.fromkeys(TileClass, 0)
             required = 0
             for ti, grid_row in enumerate(classify_tiles(mask, tile_q, tile_k)):
                 for tj, cls in enumerate(grid_row):
                     counts[cls] += 1
                     if cls is not TileClass.SKIP:
-                        required += mask.count_allowed(
-                            ti * tile_q, (ti + 1) * tile_q, tj * tile_k, (tj + 1) * tile_k
-                        )
+                        tile = dense[ti * tile_q:(ti + 1) * tile_q, tj * tile_k:(tj + 1) * tile_k]
+                        required += int(tile.sum())
             computed = counts[TileClass.FULL] + counts[TileClass.PARTIAL]
             ws.rounds.append(
                 RoundStats(

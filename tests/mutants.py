@@ -36,8 +36,8 @@ MUTANTS = [
     (
         "count_allowed counts the exclusive triangle as inclusive",
         "attention.py",
-        "        s = self.diagonal + 1 - c0",
-        "        s = self.diagonal + 1 - c0 + (self.diagonal == -1)",
+        "        s, width = self.diagonal + 1, self.block_cols",
+        "        s, width = self.diagonal + 1 + (self.diagonal == -1), self.block_cols",
     ),
     (
         "striped mask wrong at one (j, k)",
@@ -95,16 +95,43 @@ MUTANTS = [
         "        if x.dtype.kind != np.dtype(config.dtype).kind:",
     ),
     (
-        "SimConfig accepts bool sizes",
-        "simulator.py",
-        "            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
-        "            if not isinstance(value, (int, np.integer)):",
+        "check_integer accepts bool sizes",
+        "attention.py",
+        "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "    if not isinstance(value, (int, np.integer)):",
     ),
     (
         "striped positions() not transposed",
         "layout.py",
         "        return order.reshape(self.block_size, self.n_devices).T",
         "        return order.reshape(self.n_devices, self.block_size)",
+    ),
+    (
+        "_device_rounds swaps the below and above masks",
+        "simulator.py",
+        "(max(i, first), stop, below if i else own),\n"
+        "                             (first, min(i, stop), above)):",
+        "(max(i, first), stop, above if i else own),\n"
+        "                             (first, min(i, stop), below)):",
+    ),
+    (
+        "check_split without its integer test",
+        "layout.py",
+        '    n_seq, n_devices = check_integer("n_seq", n_seq), '
+        'check_integer("n_devices", n_devices)\n',
+        "",
+    ),
+    (
+        "_check_block_indices without its upper-bound test",
+        "attention.py",
+        "    if not (0 <= j < n_devices and 0 <= k < n_devices):",
+        "    if not (0 <= j and 0 <= k):",
+    ),
+    (
+        "SimConfig not frozen",
+        "simulator.py",
+        "@dataclass(frozen=True)\nclass SimConfig:",
+        "@dataclass\nclass SimConfig:",
     ),
 ]
 

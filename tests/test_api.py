@@ -1,6 +1,13 @@
-"""The package's top-level API: the exported names, pinned."""
+"""The package's top-level API: the exported names, pinned, and every name
+the benchmark harness imports from the package's modules."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import ringsim
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 EXPORTS = [
     "Algo",
@@ -36,3 +43,17 @@ def test_exports_are_pinned():
 def test_every_export_resolves():
     for name in ringsim.__all__:
         assert getattr(ringsim, name) is not None, name
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # A simplification must not delete a name perfbench still imports.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ringsim")
+        for alias in node.names
+    ]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

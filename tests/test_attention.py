@@ -124,37 +124,42 @@ def test_dense_weights_are_normalized_and_causal():
 
 
 def test_ring_mask_examples():
-    assert get_mask_ring(1, 3, 4).kind is MaskKind.FULLY_MASKED
-    assert get_mask_ring(3, 1, 4).kind is MaskKind.FULLY_UNMASKED
-    diag = get_mask_ring(2, 2, 2)
+    assert get_mask_ring(1, 3, 4, n_devices=4).kind is MaskKind.FULLY_MASKED
+    assert get_mask_ring(3, 1, 4, n_devices=4).kind is MaskKind.FULLY_UNMASKED
+    diag = get_mask_ring(2, 2, 2, n_devices=4)
     assert diag.kind is MaskKind.CAUSAL_INCLUSIVE
     np.testing.assert_array_equal(diag.allowed_block(), [[True, False], [True, True]])
 
 
 def test_striped_mask_examples():
     # queries at original positions 1,5,9 vs keys at 3,7,11 (N=4)
-    above = get_mask_striped(1, 3, 3)
+    above = get_mask_striped(1, 3, 3, n_devices=4)
     assert above.kind is MaskKind.CAUSAL_EXCLUSIVE
     np.testing.assert_array_equal(
         above.allowed_block(), [[False, False, False], [True, False, False], [True, True, False]]
     )
     # queries at 3,7,11 vs keys at 1,5,9
-    below = get_mask_striped(3, 1, 3)
+    below = get_mask_striped(3, 1, 3, n_devices=4)
     assert below.kind is MaskKind.CAUSAL_INCLUSIVE
     np.testing.assert_array_equal(
         below.allowed_block(), [[True, False, False], [True, True, False], [True, True, True]]
     )
     for j in range(4):
-        assert get_mask_striped(j, j, 5).kind is MaskKind.CAUSAL_INCLUSIVE
+        assert get_mask_striped(j, j, 5, n_devices=4).kind is MaskKind.CAUSAL_INCLUSIVE
 
 
 def test_mask_index_range_checks():
     with pytest.raises(ValueError):
-        get_mask_ring(-1, 0, 4)
+        get_mask_ring(-1, 0, 4, n_devices=4)
     with pytest.raises(ValueError):
         get_mask_ring(1, 4, 4, n_devices=4)
     with pytest.raises(ValueError):
-        get_mask_striped(0, 0, 0)
+        get_mask_striped(0, 0, 0, n_devices=4)
+    # A block index past the ring is refused, so the count cannot be left out.
+    with pytest.raises(ValueError, match="out of range for 4 devices"):
+        get_mask_striped(5, 1, 4, n_devices=4)
+    with pytest.raises(TypeError):
+        get_mask_ring(5, 1, 4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -226,9 +231,6 @@ def test_tile_conservation_against_enumeration(kind, rows, cols):
                     assert tile.all()
                 else:
                     assert tile.any() and not tile.all()
-                assert mask.count_allowed(ti * tq, (ti + 1) * tq, tj * tk, (tj + 1) * tk) == int(
-                    tile.sum()
-                )
         assert census.n_full == counts[TileClass.FULL]
         assert census.n_partial == counts[TileClass.PARTIAL]
         assert census.n_skip == counts[TileClass.SKIP]
@@ -276,7 +278,7 @@ def test_streaming_is_invariant_to_key_partition_and_order(splits):
     mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 16, 16)
     state = SoftmaxAccumulator.fresh(16, 3)
     for c0, c1 in splits:
-        accumulate_tile(state, q, k[c0:c1], v[c0:c1], mask.allowed_block(0, 16, c0, c1))
+        accumulate_tile(state, q, k[c0:c1], v[c0:c1], mask.allowed_block()[:, c0:c1])
     got = finalize(state)
     want = oracle_causal_attention(q, k, v)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -286,10 +288,10 @@ def test_fully_masked_rows_stay_untouched_bitwise():
     q, k, v = _causal_inputs(6, 4, 2, 5)
     mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 6, 6)
     state = SoftmaxAccumulator.fresh(6, 2)
-    accumulate_tile(state, q, k[:3], v[:3], mask.allowed_block(0, 6, 0, 3))
+    accumulate_tile(state, q, k[:3], v[:3], mask.allowed_block()[:, 0:3])
     before = (state.acc.copy(), state.m.copy(), state.l.copy())
     # keys 4..6: rows 0..3 are entirely masked there (y in {4,5} > x)
-    allowed = mask.allowed_block(0, 6, 4, 6)
+    allowed = mask.allowed_block()[:, 4:6]
     assert not allowed[:4].any()
     accumulate_tile(state, q, k[4:6], v[4:6], allowed)
     assert state.acc[:4].tobytes() == before[0][:4].tobytes()
@@ -434,7 +436,7 @@ def test_streaming_is_stable_for_extreme_scores():
     mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 8, 8)
     state = SoftmaxAccumulator.fresh(8, 3)
     for c0 in range(0, 8, 2):
-        accumulate_tile(state, q, k[c0:c0 + 2], v[c0:c0 + 2], mask.allowed_block(0, 8, c0, c0 + 2))
+        accumulate_tile(state, q, k[c0:c0 + 2], v[c0:c0 + 2], mask.allowed_block()[:, c0:c0 + 2])
         assert np.isfinite(state.acc).all()
         assert np.isfinite(state.l).all()
     got = finalize(state)

@@ -81,6 +81,12 @@ def test_tms_query_validation():
         TmsQuery(preset, 16384, 4, 0.0)
 
 
+@pytest.mark.parametrize("n_seq,sp", [(1024, 4.0), (1024.0, 4), (1024, True)])
+def test_tms_query_rejects_non_integer_sizes(n_seq, sp):
+    with pytest.raises(ValueError, match="must be an integer"):
+        TmsQuery(PRESETS["1b"], n_seq, sp)
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
 def test_tms_query_rejects_non_finite_flop_weight(weight):
     with pytest.raises(ValueError, match="flop_weight must be positive and finite"):

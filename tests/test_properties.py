@@ -1,6 +1,6 @@
 """Property tests: random ring sizes, block sizes, tilings and layouts
 against the dense oracle and the tile-by-tile enumeration of work, and
-random sub-rectangles of every mask kind against position arithmetic."""
+random block shapes and diagonals against position arithmetic."""
 
 from unittest import mock
 
@@ -109,32 +109,24 @@ def _raw_mask(kind, rows, cols):
     }[kind]
 
 
-@st.composite
-def sub_rectangles(draw):
-    """(kind, rows, cols, r0, r1, c0, c1): any sub-rectangle of a non-square block."""
-    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    r0 = draw(st.integers(0, rows - 1))
-    c0 = draw(st.integers(0, cols - 1))
-    return (
-        draw(st.sampled_from(list(MaskKind))),
-        rows,
-        cols,
-        r0,
-        draw(st.integers(r0 + 1, rows)),
-        c0,
-        draw(st.integers(c0 + 1, cols)),
-    )
-
-
 @settings(BOUNDED, max_examples=200)
-@given(sub_rectangles())
-def test_mask_sub_rectangles_match_position_arithmetic(rect):
-    # The fold slices slabs [r0, r1) x [0, width) that are not tile-aligned.
-    kind, rows, cols, r0, r1, c0, c1 = rect
+@given(
+    st.sampled_from(list(MaskKind)), st.integers(1, 40), st.integers(1, 40),
+    st.integers(-45, 45),
+)
+def test_whole_block_masks_match_position_arithmetic(kind, rows, cols, diagonal):
+    # Every kind against its own arithmetic, then the same block moved to
+    # an arbitrary line y <= x + diagonal, past either corner included:
+    # the closed-form count must hold for any line, not only the four a
+    # kind sets.
     mask = MaskSpec(kind, rows, cols)
-    want = _raw_mask(kind, rows, cols)[r0:r1, c0:c1]
-    assert np.array_equal(mask.allowed_block(r0, r1, c0, c1), want)
-    assert mask.count_allowed(r0, r1, c0, c1) == want.sum()
+    want = _raw_mask(kind, rows, cols)
+    assert np.array_equal(mask.allowed_block(), want)
+    assert mask.count_allowed() == want.sum()
+    object.__setattr__(mask, "diagonal", diagonal)
+    want = np.arange(cols) <= np.arange(rows)[:, None] + diagonal
+    assert np.array_equal(mask.allowed_block(), want)
+    assert mask.count_allowed() == want.sum()
 
 
 @BOUNDED
@@ -203,22 +195,6 @@ def test_grouped_serial_fold_equals_threads_and_oracle(algo, n, c, precision, se
     threaded = simulate(SimConfig(executor="threads", **base))
     assert serial.output.tobytes() == threaded.output.tobytes()
     assert oracle_error(serial) <= ORACLE_TOLERANCE[precision]
-
-
-@BOUNDED
-@given(sub_rectangles(), st.integers(1, 4), st.integers(1, 4))
-def test_count_allowed_over_a_grid_equals_scalar_calls(rect, n_rows, n_cols):
-    # Array bounds broadcast to one count per sub-rectangle; each must
-    # equal the exact scalar count of the same rectangle.
-    kind, rows, cols, r0, r1, c0, c1 = rect
-    mask = MaskSpec(kind, rows, cols)
-    r_lo = np.minimum(np.arange(n_rows) + r0, r1 - 1)[:, None]
-    c_lo = np.minimum(np.arange(n_cols) + c0, c1 - 1)
-    got = mask.count_allowed(r_lo, r1, c_lo, c1)
-    want = [[mask.count_allowed(int(a), r1, int(b), c1) for b in c_lo] for a in r_lo[:, 0]]
-    assert got.tolist() == want
-    with pytest.raises(ValueError, match="out of range"):
-        mask.count_allowed(r_lo, r1, c_lo, np.append(c_lo[1:] + 1, cols + 1))
 
 
 @BOUNDED

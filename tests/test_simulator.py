@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import threading
 import time
 
 import numpy as np
@@ -9,6 +11,7 @@ from ringsim.attention import get_mask_ring, get_mask_striped, oracle_causal_att
 from ringsim.simulator import (
     Algo,
     SimConfig,
+    critical_path_required,
     make_layout,
     oracle_error,
     random_qkv,
@@ -47,6 +50,34 @@ SIZES = dict(n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
 def test_config_rejects_non_integer_sizes(name, bad):
     with pytest.raises(ValueError, match=name):
         SimConfig(algo=Algo.RING, **{**SIZES, name: bad})
+
+
+def test_config_is_frozen():
+    config = SimConfig(algo=Algo.RING, **SIZES)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.tile_q = 2.0
+    assert dataclasses.replace(config, tile_q=4).tile_q == 4
+    with pytest.raises(ValueError, match="tile_q"):
+        dataclasses.replace(config, tile_q=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: schedule_work_stats(Algo.RING, 4, 8.0, 2, 2),
+    lambda: schedule_work_stats(Algo.RING, 4.0, 8, 2, 2),
+    lambda: schedule_work_stats(Algo.RING, 4, 8, 2.0, 2),
+    lambda: schedule_work_stats(Algo.RING, 4, 8, 2, True),
+], ids=["block_size", "n_devices", "tile_q", "tile_k"])
+def test_schedule_work_stats_rejects_non_integer_sizes(call):
+    # 8.0 used to give float counters (tiles_total=16.0).
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("sizes", [(4, 8.0), (4.0, 8), (4, np.float64(8))])
+def test_critical_path_required_rejects_non_integer_sizes(sizes):
+    # (4, 8.0) used to return 228.0.
+    with pytest.raises(ValueError, match="must be an integer"):
+        critical_path_required(Algo.RING, *sizes)
 
 
 def test_config_takes_numpy_integers():
@@ -263,7 +294,7 @@ def test_coverage_exactly_once(algo):
     for j in range(n):
         for i in range(n):
             k = (j - i) % n
-            allowed = mask_fn(j, k, c).allowed_block()
+            allowed = mask_fn(j, k, c, n_devices=n).allowed_block()
             for x, y in zip(*np.nonzero(allowed)):
                 pair = (run.layout.global_of(j, int(x)), run.layout.global_of(k, int(y)))
                 seen[pair] = seen.get(pair, 0) + 1
@@ -351,17 +382,21 @@ class InjectedFault(Exception):
 
 @pytest.mark.parametrize("algo", list(Algo))
 def test_threaded_fault_fails_fast(monkeypatch, algo):
-    # Device 0 raises in round 1, when it holds block N-1; its peers must
-    # stop at once instead of waiting out the channel timeout.
+    # Device 0 raises on its second fold, in round 1, when it holds block
+    # N-1; its peers must stop at once instead of waiting out the channel
+    # timeout.
     n = 4
-    real_mask = simulator._block_mask
+    real_fold = simulator._fold_block
+    folds = []  # appended to by device 0's thread only
 
-    def faulty_mask(algo_, j, k, c, n_devices):
-        if j == 0 and k == n - 1:
-            raise InjectedFault("device 0, round 1")
-        return real_mask(algo_, j, k, c, n_devices)
+    def faulty_fold(*args):
+        if threading.current_thread().name == "device-0":
+            folds.append(1)
+            if len(folds) == 2:
+                raise InjectedFault("device 0, round 1")
+        return real_fold(*args)
 
-    monkeypatch.setattr(simulator, "_block_mask", faulty_mask)
+    monkeypatch.setattr(simulator, "_fold_block", faulty_fold)
     config = SimConfig(
         algo=algo, n_devices=n, n_seq=32, d_head=4, tile_q=2, tile_k=2, executor="threads"
     )
