@@ -85,7 +85,8 @@ class MaskSpec:
     kinds move the line past a corner of the block (``block_cols - 1``
     allows every pair, ``-block_rows`` none). ``diagonal`` is derived from
     the kind once, so skip decisions and pair counts never need a boolean
-    mask.
+    mask. The sizes must be integers (``check_integer``) and are stored
+    as ``int``.
     """
 
     kind: MaskKind
@@ -94,6 +95,8 @@ class MaskSpec:
     diagonal: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("block_rows", "block_cols"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError(
                 f"mask block must be non-empty, got {self.block_rows}x{self.block_cols}"

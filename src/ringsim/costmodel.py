@@ -22,12 +22,14 @@ The reference speedup tables this model reproduces are transcribed in
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .attention import check_integer
 from .layout import Algo, check_split
 from .simulator import critical_path_required
 
@@ -102,7 +104,7 @@ class TmsQuery:
     flop_weight: float = 2.0  # attention-FLOP cost relative to other FLOPs
 
     def __post_init__(self):
-        check_split(self.n_seq, self.sp)
+        check_split(self.n_seq, check_integer("sp", self.sp))
         if not 0 < self.flop_weight < math.inf:
             raise ValueError(f"flop_weight must be positive and finite, got {self.flop_weight}")
 
@@ -153,13 +155,15 @@ class GoldenDelta:
 
 
 def golden_rows(path=None) -> list[GoldenRow]:
-    """Load a reference speedup table (the packaged transcription by default)."""
+    """Load a reference speedup table (the packaged transcription by default).
+
+    The packaged table is parsed once in a process and each call returns
+    a new list of its frozen rows; a file at ``path`` is read on every call.
+    """
     if path is None:
-        text = resources.files("ringsim").joinpath(_GOLDEN_RESOURCE).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+        return list(_packaged_golden_rows())
     rows = []
-    for rec in csv.DictReader(text.splitlines()):
+    for rec in csv.DictReader(Path(path).read_text(encoding="utf-8").splitlines()):
         rows.append(
             GoldenRow(
                 hardware=rec["hardware"],
@@ -173,6 +177,12 @@ def golden_rows(path=None) -> list[GoldenRow]:
     if not rows:
         raise ValueError("golden table is empty")
     return rows
+
+
+@functools.lru_cache(maxsize=1)
+def _packaged_golden_rows() -> tuple[GoldenRow, ...]:
+    with resources.as_file(resources.files("ringsim").joinpath(_GOLDEN_RESOURCE)) as path:
+        return tuple(golden_rows(path))
 
 
 def compare_golden(rows=None, presets=None) -> list[GoldenDelta]:

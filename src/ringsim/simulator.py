@@ -35,10 +35,11 @@ plus half a chunk square per chunk, not for the whole c x c square.
 
 from __future__ import annotations
 
+import functools
 import math
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,10 +122,16 @@ class RoundStats:
     interactions_required: int  # pairs the causal structure actually needs
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkStats:
+    """Work counters for one device, one ``RoundStats`` per round.
+
+    Frozen, with ``rounds`` a tuple, so one closed-form result can be
+    shared by every caller (``schedule_work_stats``).
+    """
+
     device: int
-    rounds: list[RoundStats] = field(default_factory=list)
+    rounds: tuple[RoundStats, ...]
 
 
 def make_layout(config: SimConfig) -> Layout:
@@ -285,8 +292,29 @@ def schedule_work_stats(
     blocks (e.g. 4096 with 1x1 tiles) are accounted in milliseconds. Each
     of the schedule's three masks (``_relation_masks``) is counted once.
     Partial tiles are charged their whole area as computed.
+
+    The arguments are checked on every call; the counters are computed
+    once per (algo, N, block size, tiling) in a process and shared, as
+    frozen ``WorkStats``. The list is new on every call, so a caller may
+    change it without changing what the next caller gets.
     """
-    check_split(n_devices * block_size, n_devices)
+    n, c = _check_schedule(n_devices, block_size)
+    tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)
+    return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))
+
+
+def _check_schedule(n_devices: int, block_size: int) -> tuple[int, int]:
+    """(N, block size) as ints, each checked by its own name, then the split."""
+    n, c = check_integer("n_devices", n_devices), check_integer("block_size", block_size)
+    check_split(n * c, n)
+    return n, c
+
+
+# Called with checked ints only: lru_cache finds a key by equality (8.0 == 8,
+# True == 1), so an unchecked 8.0 would hit the entry of 8 and pass. A full
+# ``ringsim verify`` reads 18 keys.
+@functools.lru_cache(maxsize=64)
+def _work_stats(algo: Algo, n_devices: int, block_size: int, tile_q: int, tile_k: int):
     area = tile_q * tile_k
     counters = []  # RoundStats fields of the own block, k < j and k > j
     for mask in _relation_masks(algo, n_devices, block_size):
@@ -302,20 +330,20 @@ def schedule_work_stats(
             )
         )
     own, below, above = counters
-    return [
+    return tuple(
         WorkStats(
             device=j,
-            rounds=[
+            rounds=tuple(
                 RoundStats(
                     round=i,
                     block_index=(j - i) % n_devices,
                     **(own if i == 0 else below if j >= i else above),
                 )
                 for i in range(n_devices)
-            ],
+            ),
         )
         for j in range(n_devices)
-    ]
+    )
 
 
 def _relation_masks(algo: Algo, n_devices: int, block_size: int) -> tuple[MaskSpec, ...]:
@@ -351,9 +379,16 @@ def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     """``critical_path_sum`` of the required interactions at 1x1 tiles, in O(1).
 
     Round 0 holds the own blocks, every later round one block of each
-    other relation (``_relation_masks``).
+    other relation (``_relation_masks``). The arguments are checked on
+    every call; the count is computed once per (algo, N, block size) in
+    a process.
     """
-    check_split(n_devices * block_size, n_devices)
+    n, c = _check_schedule(n_devices, block_size)
+    return _critical_path_required(Algo(algo), n, c)
+
+
+@functools.lru_cache(maxsize=256)  # checked ints only, as ``_work_stats``
+def _critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     own, below, above = (m.count_allowed() for m in _relation_masks(algo, n_devices, block_size))
     return own + (n_devices - 1) * max(below, above)
 

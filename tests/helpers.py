@@ -50,7 +50,7 @@ def enumerated_work_stats(algo, n_devices, block_size, tile_q, tile_k):
     mask_fn = get_mask_ring if Algo(algo) is Algo.RING else get_mask_striped
     out = []
     for j in range(n_devices):
-        ws = WorkStats(device=j)
+        rounds = []
         for i in range(n_devices):
             k = (j - i) % n_devices
             mask = mask_fn(j, k, block_size, n_devices=n_devices)
@@ -64,7 +64,7 @@ def enumerated_work_stats(algo, n_devices, block_size, tile_q, tile_k):
                         tile = dense[ti * tile_q:(ti + 1) * tile_q, tj * tile_k:(tj + 1) * tile_k]
                         required += int(tile.sum())
             computed = counts[TileClass.FULL] + counts[TileClass.PARTIAL]
-            ws.rounds.append(
+            rounds.append(
                 RoundStats(
                     round=i,
                     block_index=k,
@@ -76,5 +76,5 @@ def enumerated_work_stats(algo, n_devices, block_size, tile_q, tile_k):
                     interactions_required=required,
                 )
             )
-        out.append(ws)
+        out.append(WorkStats(device=j, rounds=tuple(rounds)))
     return out

@@ -133,6 +133,32 @@ MUTANTS = [
         "@dataclass(frozen=True)\nclass SimConfig:",
         "@dataclass\nclass SimConfig:",
     ),
+    (
+        "WorkStats not frozen",
+        "simulator.py",
+        "@dataclass(frozen=True)\nclass WorkStats:",
+        "@dataclass\nclass WorkStats:",
+    ),
+    (
+        "schedule_work_stats passes tile_q to the cache unchecked",
+        "simulator.py",
+        '    tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)\n',
+        '    tile_k = check_integer("tile_k", tile_k)\n',
+    ),
+    (
+        "schedule_work_stats hands every caller one shared list per key",
+        "simulator.py",
+        "    return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))\n",
+        "    key = (Algo(algo), n, c, tile_q, tile_k)\n"
+        "    return _LISTS.setdefault(key, list(_work_stats(*key)))\n\n\n_LISTS = {}\n",
+    ),
+    (
+        "MaskSpec without its integer check",
+        "attention.py",
+        '        for name in ("block_rows", "block_cols"):\n'
+        "            object.__setattr__(self, name, check_integer(name, getattr(self, name)))\n",
+        "",
+    ),
 ]
 
 # Imports ringsim, and runs pytest only if it came from the copy (else exits 99).

@@ -162,6 +162,26 @@ def test_mask_index_range_checks():
         get_mask_ring(5, 1, 4)
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 8.0, 8.0), "block_rows"),
+    (lambda: MaskSpec(MaskKind.CAUSAL_INCLUSIVE, True, 3), "block_rows"),
+    (lambda: MaskSpec(MaskKind.FULLY_UNMASKED, 4, np.float64(4)), "block_cols"),
+    (lambda: get_mask_ring(0, 0, 8.0, 2), "block_rows"),
+    (lambda: get_mask_striped(1, 0, 8.0, 2), "block_rows"),
+], ids=["float", "bool", "numpy-float", "get_mask_ring", "get_mask_striped"])
+def test_mask_spec_rejects_non_integer_sizes(make, name):
+    # MaskSpec(CAUSAL_INCLUSIVE, 8.0, 8.0).count_allowed() used to return 36.0.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
+def test_mask_spec_stores_numpy_sizes_as_int():
+    mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, np.int64(8), np.int32(8))
+    assert mask == MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 8, 8)
+    assert type(mask.block_rows) is int and type(mask.block_cols) is int
+    assert type(mask.count_allowed()) is int
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("c", [1, 2, 3, 5])
 def test_masks_match_position_arithmetic_exhaustively(n, c):

@@ -87,6 +87,15 @@ def test_tms_query_rejects_non_integer_sizes(n_seq, sp):
         TmsQuery(PRESETS["1b"], n_seq, sp)
 
 
+@pytest.mark.parametrize("n_seq,sp,name", [
+    (1024, 4.0, "sp"), (1024, True, "sp"), (1024.0, 4, "n_seq"),
+])
+def test_tms_query_names_the_non_integer_size(n_seq, sp, name):
+    # sp=4.0 used to be reported as "n_devices must be an integer".
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        TmsQuery(PRESETS["1b"], n_seq, sp)
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
 def test_tms_query_rejects_non_finite_flop_weight(weight):
     with pytest.raises(ValueError, match="flop_weight must be positive and finite"):
@@ -126,6 +135,22 @@ def test_golden_table_loads_and_matches():
     outside = [d for d in deltas if not d.within_tolerance]
     assert outside == []
     assert max(abs(d.delta) for d in deltas) <= SPEEDUP_TOLERANCE
+
+
+def test_golden_rows_returns_a_new_list_each_call():
+    rows = golden_rows()
+    want = list(rows)
+    rows.clear()
+    assert golden_rows() == want
+
+
+def test_golden_rows_rereads_an_explicit_path(tmp_path):
+    path = tmp_path / "golden.csv"
+    header = "hardware,model,mesh_mp,mesh_sp,n_seq,flop_weight,tms\n"
+    path.write_text(header + "a100,1b,2,4,262144,2,1.72\n", encoding="utf-8")
+    assert [row.tms for row in golden_rows(path)] == [1.72]
+    path.write_text(header + "a100,1b,2,4,262144,2,1.10\n", encoding="utf-8")
+    assert [row.tms for row in golden_rows(path)] == [1.10]
 
 
 def test_load_preset_roundtrip(tmp_path):

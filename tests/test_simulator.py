@@ -80,6 +80,56 @@ def test_critical_path_required_rejects_non_integer_sizes(sizes):
         critical_path_required(Algo.RING, *sizes)
 
 
+SCHEDULE = dict(n_devices=4, block_size=8, tile_q=2, tile_k=1)
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("block_size", 8.0), ("block_size", np.float64(8)), ("n_devices", 4.0),
+    ("n_devices", True), ("tile_q", 2.0), ("tile_k", True),
+], ids=["block_size-float", "block_size-numpy", "n_devices-float", "n_devices-bool",
+        "tile_q-float", "tile_k-bool"])
+def test_schedule_work_stats_checks_sizes_on_every_call(name, bad):
+    # The valid call caches its key; an equal value of the wrong type
+    # (8.0 == 8, True == 1) must still be refused, under the caller's name
+    # (block_size 8.0 used to be reported as "n_seq ... 32.0").
+    assert schedule_work_stats(Algo.RING, **SCHEDULE) == enumerated_work_stats(
+        Algo.RING, *SCHEDULE.values()
+    )
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        schedule_work_stats(Algo.RING, **{**SCHEDULE, name: bad})
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("block_size", 8.0), ("block_size", np.float64(8)), ("n_devices", 4.0), ("n_devices", True),
+], ids=["block_size-float", "block_size-numpy", "n_devices-float", "n_devices-bool"])
+def test_critical_path_required_checks_sizes_on_every_call(name, bad):
+    sizes = dict(n_devices=4, block_size=8)
+    assert critical_path_required(Algo.RING, **sizes) == 36 + 3 * 64
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        critical_path_required(Algo.RING, **{**sizes, name: bad})
+
+
+def test_work_stats_are_frozen():
+    ws = schedule_work_stats(Algo.STRIPED, **SCHEDULE)[1]
+    assert type(ws.rounds) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ws.rounds = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ws.device = 0
+
+
+def test_changing_the_returned_stats_leaves_the_next_call_alone():
+    want = enumerated_work_stats(Algo.STRIPED, *SCHEDULE.values())
+    stats = schedule_work_stats(Algo.STRIPED, **SCHEDULE)
+    stats.append(stats[0])
+    stats[1] = stats[2]
+    assert schedule_work_stats(Algo.STRIPED, **SCHEDULE) == want
+    config = SimConfig(algo=Algo.STRIPED, n_devices=4, n_seq=32, d_head=4, tile_q=2, tile_k=1)
+    run = simulate(config)
+    run.stats.clear()
+    assert simulate(config).stats == want
+
+
 def test_config_takes_numpy_integers():
     config = SimConfig(algo="ring", **{name: np.int64(v) for name, v in SIZES.items()})
     assert config == SimConfig(algo=Algo.RING, **SIZES)
@@ -309,6 +359,7 @@ def test_coverage_exactly_once(algo):
     (2, 16, 2, 4),
     (4, 32, 2, 2),
     (4, 16, 1, 1),
+    (3, 24, 4, 2),
     (8, 64, 4, 8),
 ])
 def test_run_stats_equal_closed_form_stats(algo, n_devices, n_seq, tile_q, tile_k):
@@ -355,7 +406,7 @@ def test_serial_and_threaded_runs_are_bit_identical(algo):
     assert rerun.output.tobytes() == serial.output.tobytes()
     assert threaded.output.tobytes() == serial.output.tobytes()
     assert rerun.stats == serial.stats
-    assert threaded.stats == serial.stats
+    assert threaded.stats == serial.stats == enumerated_work_stats(algo, 4, 8, 2, 4)
 
 
 def test_threads_share_one_stacked_state_under_fast_switching():
