@@ -131,6 +131,17 @@ def _clipped_prefix_sum(z: int, width: int) -> int:
 # n = 4096 a panel's float64 scores take 2 MB, and 64 rows ran faster than
 # 128, 256 or 512 at n = 1024 and n = 4096 (one BLAS thread).
 _PANEL_ROWS = 64
+# Query rows per numeric fold (``accumulate_block``): how the host
+# computes, not the modelled hardware tile. A triangular chunk also scores
+# the masked half of its diagonal square, so fewer rows waste less but pay
+# more calls. Medians of run_schedule at 32, 64 and 128 rows (one BLAS
+# thread, 2-core VM): striped N=8, n=1024 15.7, 11.4, 13.8 ms (ring 11.0,
+# 7.1, 6.7); N=4, n=4096, d=64 striped 89, 81, 89 ms, ring 95, 70, 72 ms.
+_CHUNK_ROWS = 64
+# Scores per fold call when a call folds a group of devices: what one
+# device's chunk already reaches against a 1024-key block, so a call's
+# fixed cost is shared by as many devices as fit.
+_CALL_SCORES = 64 * 1024
 
 
 @functools.lru_cache(maxsize=16)  # a run uses a full chunk or panel and a few ragged ones
@@ -341,31 +352,36 @@ def accumulate_tile(
     return state
 
 
-def accumulate_causal_rows(
-    state: SoftmaxAccumulator, q_rows, k_keys, v_keys, diagonal: int
+def accumulate_block(
+    state: SoftmaxAccumulator, q, k, v, mask: MaskSpec
 ) -> SoftmaxAccumulator:
-    """Fold keys into rows where local row i sees keys ``y <= i + diagonal``.
+    """Fold held key/value blocks into ``state`` where ``mask`` allows it.
 
-    ``diagonal >= 0``, so every row sees key 0 and no row is dead, and the
-    keys must end where the last row's do (``diagonal + rows``) or sooner.
-    Keys [0, diagonal] are allowed for every row; past them only the
-    square starting at column ``diagonal`` is masked, above its main
-    diagonal, through a cached triangle. Leading axes (devices) of the
-    state, rows and keys are folded slice by slice, in one call.
-    Mutates and returns ``state``.
+    Everything is stacked by device, (g, rows, ...), and all g devices
+    share ``mask``. They are folded in groups of as many devices as fit
+    ``_CALL_SCORES`` scores per call, and each group in chunks of
+    ``_CHUNK_ROWS`` query rows. Row x sees keys y <= x + diagonal, so
+    chunks start at row ``max(0, -diagonal)``: a fully masked block is
+    skipped whole and an exclusive triangle's dead row 0 is never visited.
+    Chunk [r0, r1) meets only the keys its last row sees, all of which up
+    to r0 + diagonal every row sees, so ``-inf`` goes only into the square
+    after them, through a cached triangle. A triangular block thus costs
+    its triangle plus half a chunk square per chunk. The order (groups,
+    then chunks) and a stacked product's per-device BLAS call make each
+    device's bytes independent of g. Mutates and returns ``state``.
     """
-    rows, width = q_rows.shape[-2], k_keys.shape[-2]
-    if diagonal < 0 or width > diagonal + rows:
-        raise ValueError(
-            f"rows see keys y <= i + diagonal: diagonal={diagonal} and {rows} rows "
-            f"allow at most {diagonal + rows} keys, got {width}"
-        )
-    scores = q_rows @ k_keys.swapaxes(-1, -2)
-    if diagonal + 1 < width:
-        np.copyto(
-            scores[..., diagonal:], -np.inf, where=_strict_upper(rows)[:, : width - diagonal]
-        )
-    _fold(state, scores, v_keys)
+    rows, cols, d = mask.block_rows, mask.block_cols, mask.diagonal
+    group = max(1, _CALL_SCORES // (min(rows, _CHUNK_ROWS) * cols))
+    for a in range(0, q.shape[0], group):
+        b = a + group
+        for r0 in range(max(0, -d), rows, _CHUNK_ROWS):
+            r1 = min(r0 + _CHUNK_ROWS, rows)
+            width, shared = min(r1 + d, cols), r0 + d  # every row sees keys [0, shared]
+            scores = q[a:b, r0:r1] @ k[a:b, :width].swapaxes(-1, -2)
+            if shared + 1 < width:
+                upper = _strict_upper(r1 - r0)[:, : width - shared]
+                np.copyto(scores[..., shared:], -np.inf, where=upper)
+            _fold(state.devices(a, b).rows(r0, r1), scores, v[a:b, :width])
     return state
 
 

@@ -185,15 +185,14 @@ def _packaged_golden_rows() -> tuple[GoldenRow, ...]:
         return tuple(golden_rows(path))
 
 
-def compare_golden(rows=None, presets=None) -> list[GoldenDelta]:
+def compare_golden(rows=None) -> list[GoldenDelta]:
     """Recompute every golden row and report computed-minus-expected deltas."""
     rows = golden_rows() if rows is None else rows
-    presets = PRESETS if presets is None else presets
     out = []
     for row in rows:
-        if row.model not in presets:
+        if row.model not in PRESETS:
             raise ValueError(f"golden row references unknown model preset {row.model!r}")
-        value = tms(TmsQuery(presets[row.model], row.n_seq, row.mesh[1], row.flop_weight))
+        value = tms(TmsQuery(PRESETS[row.model], row.n_seq, row.mesh[1], row.flop_weight))
         computed = round(value, 2)
         out.append(GoldenDelta(row=row, computed=computed, delta=round(computed - row.tms, 2)))
     return out

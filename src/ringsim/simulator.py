@@ -14,23 +14,19 @@ executors run one round loop (``_device_rounds``) and differ only in which
 devices it covers and where a held block comes from. The serial one
 advances all devices one round at a time: in round i the devices holding
 blocks k < j share one mask, those holding k > j another, and the held
-blocks of each range are plain slices of the stacked K and V, so a range
-is folded a group of devices per call: as many as fit ``_CALL_SCORES``
-scores per row chunk (8 devices at c = 128, more below it). The
-threaded one runs the loop over one device per worker, with blocks
-arriving over ordered point-to-point queues. Each device's
-floating-point accumulation order is fixed (rounds in order, row chunks
-of ``_CHUNK_ROWS`` in order within a round, independent of the modelled
+blocks of each range are plain slices of the stacked K and V, so each
+range is one ``attention.accumulate_block`` call. That kernel owns how
+the host computes: it folds a group of devices per BLAS call (8 at
+c = 128, more below it) in row chunks of 64, and masks only each chunk's
+diagonal square, so a triangular block pays for its triangle plus half a
+chunk square per chunk. The threaded one runs the loop over one device
+per worker, with blocks arriving over ordered point-to-point queues.
+Each device's floating-point accumulation order is fixed (rounds in
+order, row chunks in order within a round, independent of the modelled
 tile and of the grouping; a stacked product makes the same BLAS call per
 device), so the two are bit-identical. The modelled tile only drives the
 work counters, which come from the closed form (``schedule_work_stats``),
 never from the numerics.
-
-A held block is folded only where its mask allows work: chunks start at
-the first row that sees a key, every key before a chunk's diagonal
-square is contracted unmasked, and ``-inf`` is written only into that
-square (``_fold_block``). A triangular block thus pays for its triangle
-plus half a chunk square per chunk, not for the whole c x c square.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ import numpy as np
 from .attention import (
     MaskSpec,
     SoftmaxAccumulator,
-    accumulate_causal_rows,
+    accumulate_block,
     check_integer,
     check_sequence,
     check_tiling,
@@ -60,17 +56,6 @@ from .attention import (
 from .layout import Algo, Layout, PermutedBatch, check_split
 
 _CHANNEL_TIMEOUT_S = 30.0  # backstop; a failing worker aborts its peers at once
-# Query rows per numeric fold: how this machine computes, not the modelled
-# hardware tile. A triangular chunk also scores the masked half of its
-# diagonal square, so fewer rows waste less but pay more calls. Medians of
-# run_schedule at 32, 64 and 128 rows (one BLAS thread, 2-core VM): striped
-# N=8, n=1024 15.7, 11.4, 13.8 ms (ring 11.0, 7.1, 6.7); N=4, n=4096, d=64
-# striped 89, 81, 89 ms, ring 95, 70, 72 ms.
-_CHUNK_ROWS = 64
-# Scores per fold call when a call folds a group of devices
-# (``_device_rounds``): what one device's chunk already reaches against a
-# 1024-key block, so a call's fixed cost is shared by as many devices as fit.
-_CALL_SCORES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,8 +76,10 @@ class SimConfig:
         c = check_split(self.n_seq, self.n_devices)
         if check_integer("d_head", self.d_head) < 1:
             raise ValueError(f"d_head must be positive, got {self.d_head}")
+        if check_integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         check_tiling(c, c, self.tile_q, self.tile_k)
-        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k"):
+        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.precision not in ("double", "single"):
             raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
@@ -143,52 +130,26 @@ def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
 
 
-def _fold_block(acc: SoftmaxAccumulator, mask: MaskSpec, q_block, k_block, v_block) -> None:
-    """Fold held K/V blocks into ``acc``, ``_CHUNK_ROWS`` query rows at a time.
-
-    The blocks are stacked by device, (g, c, d), and all g share ``mask``.
-    Row x sees keys [0, x + diagonal + 1). Rows before ``-diagonal`` see
-    none, so chunks start at row ``max(0, -diagonal)``: a fully masked
-    block is skipped whole and an exclusive triangle's dead row 0 is never
-    visited. A chunk [r0, r1) is contracted against the keys its last row
-    sees, [0, min(r1 + diagonal, cols)); all of them up to r0 + diagonal
-    are allowed for every row, and only the square after that prefix is
-    masked (``accumulate_causal_rows``), so a triangular block costs its
-    triangle plus half a chunk square per chunk, not a full slab.
-    """
-    d = mask.diagonal
-    for r0 in range(max(0, -d), mask.block_rows, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, mask.block_rows)
-        width = min(r1 + d, mask.block_cols)
-        accumulate_causal_rows(
-            acc.rows(r0, r1), q_block[:, r0:r1], k_block[:, :width], v_block[:, :width], r0 + d
-        )
-
-
 def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range, held) -> None:
     """Fold every round of ``devices``' schedule into the stacked ``acc``.
 
     In round i, devices [i, N) hold blocks [0, N - i) and devices [0, i)
     hold blocks [N - i, N). A block's mask depends only on how k compares
     with j, so each range shares one of the three ``_relation_masks``
-    and is folded in groups of
-    ``max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))`` devices, one fold
-    call per row chunk: 8 devices at c = 128 and more below it, 4 at
-    c = 256, 2 at c = 512 and one from c = 513 up.
+    and is folded by one ``accumulate_block`` call.
     ``held(i, a, b)`` returns the (K, V) stacks devices [a, b) hold in
-    round i; it is called once per group and round, in round order.
+    round i; it is called once per non-empty range and round, in round
+    order.
     """
     n, c = config.n_devices, config.block_size
-    group = max(1, _CALL_SCORES // (min(c, _CHUNK_ROWS) * c))
     first, stop = devices.start, devices.stop
     own, below, above = _relation_masks(config.algo, n, c)
     for i in range(n):
-        for lo, hi, mask in ((max(i, first), stop, below if i else own),
-                             (first, min(i, stop), above)):
-            for a in range(lo, hi, group):
-                b = min(a + group, hi)
+        for a, b, mask in ((max(i, first), stop, below if i else own),
+                           (first, min(i, stop), above)):
+            if a < b:
                 k, v = held(i, a, b)
-                _fold_block(acc.devices(a, b), mask, q[a:b], k, v)
+                accumulate_block(acc.devices(a, b), q[a:b], k, v, mask)
 
 
 def _run_serial(config: SimConfig, batch: PermutedBatch, acc: SoftmaxAccumulator) -> None:
@@ -423,12 +384,15 @@ class SimRun:
 def simulate(config: SimConfig, inputs=None) -> SimRun:
     """Generate (or take) Q/K/V, partition, run the schedule, reassemble.
 
-    Given inputs must be real; they are cast to the config's precision
-    and must then be finite.
+    Given inputs must be exactly Q, K and V, real; they are cast to the
+    config's precision and must then be finite.
     """
     if inputs is None:
         q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
     else:
+        inputs = tuple(inputs)
+        if len(inputs) != 3:
+            raise ValueError(f"inputs must be the three arrays Q, K and V, got {len(inputs)}")
         q, k, v = (
             check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", inputs)
         )

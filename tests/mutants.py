@@ -77,10 +77,16 @@ MUTANTS = [
         "    return own + (n_devices - 1) * min(below, above)",
     ),
     (
-        "_fold_block visits the exclusive triangle's dead row 0",
-        "simulator.py",
-        "    for r0 in range(max(0, -d), mask.block_rows, _CHUNK_ROWS):",
-        "    for r0 in range(0, mask.block_rows, _CHUNK_ROWS):",
+        "accumulate_block visits the exclusive triangle's dead row 0",
+        "attention.py",
+        "        for r0 in range(max(0, -d), rows, _CHUNK_ROWS):",
+        "        for r0 in range(0, rows, _CHUNK_ROWS):",
+    ),
+    (
+        "accumulate_block gives every device of a group the first one's V",
+        "attention.py",
+        "scores, v[a:b, :width])",
+        "scores, v[a:a + 1, :width])",
     ),
     (
         "Layout keeps a scheme name uncoerced",
@@ -110,9 +116,9 @@ MUTANTS = [
         "_device_rounds swaps the below and above masks",
         "simulator.py",
         "(max(i, first), stop, below if i else own),\n"
-        "                             (first, min(i, stop), above)):",
+        "                           (first, min(i, stop), above)):",
         "(max(i, first), stop, above if i else own),\n"
-        "                             (first, min(i, stop), below)):",
+        "                           (first, min(i, stop), below)):",
     ),
     (
         "check_split without its integer test",
@@ -132,6 +138,21 @@ MUTANTS = [
         "simulator.py",
         "@dataclass(frozen=True)\nclass SimConfig:",
         "@dataclass\nclass SimConfig:",
+    ),
+    (
+        "SimConfig accepts a negative seed",
+        "simulator.py",
+        '        if check_integer("seed", self.seed) < 0:\n'
+        '            raise ValueError(f"seed must be non-negative, got {self.seed}")\n',
+        "",
+    ),
+    (
+        "simulate takes any number of input arrays",
+        "simulator.py",
+        "        if len(inputs) != 3:\n"
+        '            raise ValueError(f"inputs must be the three arrays Q, K and V, '
+        'got {len(inputs)}")\n',
+        "",
     ),
     (
         "WorkStats not frozen",

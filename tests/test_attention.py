@@ -9,7 +9,7 @@ from ringsim.attention import (
     MaskSpec,
     SoftmaxAccumulator,
     TileClass,
-    accumulate_causal_rows,
+    accumulate_block,
     accumulate_tile,
     check_sequence,
     classify_tiles,
@@ -321,36 +321,49 @@ def test_fully_masked_rows_stay_untouched_bitwise():
     assert state.l[4:].tobytes() != before[2][4:].tobytes()
 
 
-@pytest.mark.parametrize("diagonal", [0, 1, 5, 9])
-def test_causal_rows_equal_masked_tile(diagonal):
-    # Row i sees keys y <= i + diagonal: the same fold, bit for bit, as an
-    # explicit mask over the same keys.
-    rows = 6
-    width = min(diagonal + rows, 10)
-    q, k, v = _causal_inputs(10, 4, 3, diagonal)
-    allowed = np.arange(width) <= np.arange(rows)[:, None] + diagonal
-    want = accumulate_tile(SoftmaxAccumulator.fresh(rows, 3), q[:rows], k[:width], v[:width], allowed)
-    got = accumulate_causal_rows(
-        SoftmaxAccumulator.fresh(rows, 3), q[:rows], k[:width], v[:width], diagonal
-    )
-    for name in ("acc", "m", "l"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+@pytest.mark.parametrize("extra", [0, 1, 5, 9])
+def test_causal_rows_equal_masked_tile(extra):
+    # A block of a full row chunk plus ``extra`` rows, with keys to spare
+    # or short: for every kind, each chunk folds, bit for bit, as an
+    # explicit mask over the same rows and keys.
+    chunk = attention._CHUNK_ROWS
+    rows = chunk + extra
+    for cols, kind in itertools.product({rows - extra, rows + extra}, MaskKind):
+        mask = MaskSpec(kind, rows, cols)
+        q, k, v = _causal_inputs(max(rows, cols), 4, 3, extra)
+        q = q[:rows]
+        want = SoftmaxAccumulator.fresh(rows, 3)
+        for r0 in range(max(0, -mask.diagonal), rows, chunk):
+            r1 = min(r0 + chunk, rows)
+            width = min(r1 + mask.diagonal, cols)
+            allowed = mask.allowed_block()[r0:r1, :width]
+            accumulate_tile(want.rows(r0, r1), q[r0:r1], k[:width], v[:width], allowed)
+        got = SoftmaxAccumulator.fresh((1, rows), 3)
+        accumulate_block(got, q[None], k[None, :cols], v[None, :cols], mask)
+        for name in ("acc", "m", "l"):
+            assert getattr(got, name)[0].tobytes() == getattr(want, name).tobytes(), (kind, name)
 
 
-@pytest.mark.parametrize("diagonal", [0, 3])
-def test_stacked_devices_fold_as_if_alone(diagonal):
+@pytest.mark.parametrize("extra", [0, 3])
+def test_stacked_devices_fold_as_if_alone(extra, monkeypatch):
     # One call over a (devices, rows, d) stack must give each device the
-    # bytes it gets from its own 2-D call, through to finalize.
-    rng = np.random.default_rng(diagonal)
-    q, k, v = (rng.standard_normal((3, 8, 4)) for _ in range(3))
-    width = diagonal + 5
-    stacked = SoftmaxAccumulator.fresh((3, 5), 4)
-    accumulate_causal_rows(stacked, q[:, :5], k[:, :width], v[:, :width], diagonal)
-    for dev in range(3):
-        alone = SoftmaxAccumulator.fresh(5, 4)
-        accumulate_causal_rows(alone, q[dev, :5], k[dev, :width], v[dev, :width], diagonal)
-        assert finalize(stacked)[dev].tobytes() == finalize(alone).tobytes()
-        assert stacked.devices(dev, dev + 1).m[0].tobytes() == alone.m.tobytes()
+    # bytes it gets from its own call, through to finalize, whether the
+    # call folds the three devices at once or in groups of two and one.
+    rows = attention._CHUNK_ROWS + extra
+    rng = np.random.default_rng(extra)
+    q, k, v = (rng.standard_normal((3, rows, 4)) for _ in range(3))
+    for budget, kind in itertools.product(
+        (attention._CALL_SCORES, 2 * attention._CHUNK_ROWS * rows),
+        (MaskKind.CAUSAL_INCLUSIVE, MaskKind.FULLY_UNMASKED),
+    ):
+        monkeypatch.setattr(attention, "_CALL_SCORES", budget)
+        mask = MaskSpec(kind, rows, rows)
+        stacked = accumulate_block(SoftmaxAccumulator.fresh((3, rows), 4), q, k, v, mask)
+        for dev in range(3):
+            alone = SoftmaxAccumulator.fresh((1, rows), 4)
+            accumulate_block(alone, q[dev:dev + 1], k[dev:dev + 1], v[dev:dev + 1], mask)
+            assert finalize(stacked)[dev].tobytes() == finalize(alone)[0].tobytes()
+            assert stacked.devices(dev, dev + 1).m.tobytes() == alone.m.tobytes()
     stacked.l[1] = 0.0
     with pytest.raises(ValueError, match=r"first dead row: 1, 0\)"):
         finalize(stacked)
@@ -384,17 +397,17 @@ def test_in_place_fold_equals_out_of_place_formula(dtype):
     rng = np.random.default_rng(11)
     g, rows, d, d_v = 3, 10, 4, 5
     state = SoftmaxAccumulator.fresh((g, rows), d_v, dtype)
-    r0, r1, diagonal = 2, 8, 2
-    width = r1 - r0 + diagonal
-    above = np.arange(width) > np.arange(r1 - r0)[:, None] + diagonal
+    r0, r1 = 2, 8
+    width = r1 - r0
+    mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, width, width)
     for _ in range(2):
         q, k, v = (rng.standard_normal((g, n, w)).astype(dtype)
                    for n, w in ((r1 - r0, d), (width, d), (width, d_v)))
         view = state.rows(r0, r1)
         scores = q @ k.swapaxes(-1, -2)
-        scores[:, above] = -np.inf
+        scores[:, ~mask.allowed_block()] = -np.inf
         want = _fold_out_of_place(view, scores, v)
-        accumulate_causal_rows(view, q, k, v, diagonal)
+        accumulate_block(view, q, k, v, mask)
         _assert_state_bytes(view, want)
     assert np.isneginf(state.m[:, :r0]).all() and np.isneginf(state.m[:, r1:]).all()
     assert not state.l[:, :r0].any() and not state.l[:, r1:].any()
@@ -416,15 +429,6 @@ def test_in_place_fold_equals_out_of_place_formula(dtype):
                 want = _fold_out_of_place(tile, scores[live], v, rows=live)
             accumulate_tile(tile, q, k, v, mask)
             _assert_state_bytes(tile, want)
-
-
-def test_causal_rows_reject_dead_rows_and_unseen_keys():
-    q, k, v = _causal_inputs(8, 3, 2, 4)
-    state = SoftmaxAccumulator.fresh(4, 2)
-    with pytest.raises(ValueError, match="diagonal=-1"):
-        accumulate_causal_rows(state, q[:4], k[:3], v[:3], -1)
-    with pytest.raises(ValueError, match="at most 6 keys, got 7"):
-        accumulate_causal_rows(state, q[:4], k[:7], v[:7], 2)
 
 
 def test_finalize_divides_by_row_sums():

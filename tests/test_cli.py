@@ -43,6 +43,12 @@ def test_simulate_rejects_non_dividing_devices(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    code = main("simulate --devices 2 --seq-len 8 --tile-q 1 --tile-k 1 --seed -1".split())
+    assert code == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_simulate_rejects_non_dividing_tiles(capsys):
     code = main("simulate --devices 4 --seq-len 16 --tile-q 3 --tile-k 1".split())
     assert code == 2

@@ -14,12 +14,15 @@ from hypothesis import strategies as st  # noqa: E402
 from ringsim.attention import (  # noqa: E402
     MaskKind,
     MaskSpec,
+    SoftmaxAccumulator,
     TileClass,
+    accumulate_block,
+    accumulate_tile,
     classify_tiles,
     tile_census,
 )
 from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
-from ringsim import simulator  # noqa: E402
+from ringsim import attention  # noqa: E402
 from ringsim.layout import Layout  # noqa: E402
 from ringsim.simulator import (  # noqa: E402
     ORACLE_TOLERANCE,
@@ -147,6 +150,54 @@ def test_tile_classes_match_dense_tile_sums(kind, rows, cols, data):
     )
 
 
+def _copy(state):
+    return SoftmaxAccumulator(state.acc.copy(), state.m.copy(), state.l.copy())
+
+
+@settings(BOUNDED, max_examples=40)
+@given(
+    st.sampled_from(list(MaskKind)), st.integers(1, 150), st.integers(1, 150),
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16),
+)
+# Three row chunks from row 1, four devices in groups of three.
+@example(MaskKind.CAUSAL_EXCLUSIVE, 129, 129, 4, 3, 1)
+# Rows past the last key, and keys no row sees.
+@example(MaskKind.CAUSAL_INCLUSIVE, 150, 70, 3, 2, 2)
+@example(MaskKind.CAUSAL_EXCLUSIVE, 65, 150, 2, 1, 3)
+def test_block_fold_matches_masked_tile(kind, rows, cols, g, group, seed):
+    # Onto a random prior state, some of whose rows never attended, g
+    # devices fold their blocks under one mask, ``group`` devices per call:
+    # equal to a per-device masked tile over every key, dead rows left as
+    # they were bit for bit, and the bytes of g one-device calls.
+    rng = np.random.default_rng(seed)
+    mask = MaskSpec(kind, rows, cols)
+    q, k = (rng.standard_normal((g, n, 4)) for n in (rows, cols))
+    v = rng.standard_normal((g, cols, 3))
+    prior = SoftmaxAccumulator.fresh((g, rows), 3)
+    never = rng.random((g, rows)) < 0.2
+    prior.m[...] = np.where(never, -np.inf, rng.standard_normal((g, rows)))
+    prior.l[...] = np.where(never, 0.0, rng.uniform(0.5, 2.0, (g, rows)))
+    prior.acc[...] = np.where(never[..., None], 0.0, rng.standard_normal((g, rows, 3)))
+    budget = group * min(rows, attention._CHUNK_ROWS) * cols
+    with mock.patch.object(attention, "_CALL_SCORES", budget):
+        got = accumulate_block(_copy(prior), q, k, v, mask)
+        alone = [
+            accumulate_block(_copy(prior).devices(j, j + 1), q[j:j + 1], k[j:j + 1],
+                             v[j:j + 1], mask)
+            for j in range(g)
+        ]
+    allowed = mask.allowed_block()
+    dead = ~allowed.any(axis=1)
+    for j in range(g):
+        want = SoftmaxAccumulator(prior.acc[j].copy(), prior.m[j].copy(), prior.l[j].copy())
+        accumulate_tile(want, q[j], k[j], v[j], allowed)
+        for name in ("acc", "m", "l"):
+            arr = getattr(got, name)[j]
+            np.testing.assert_allclose(arr, getattr(want, name), rtol=1e-12, atol=1e-12)
+            assert arr[dead].tobytes() == getattr(prior, name)[j][dead].tobytes()
+            assert arr.tobytes() == getattr(alone[j], name)[0].tobytes()
+
+
 @BOUNDED
 @given(schedules(max_seq=64), st.integers(0, 2**16))
 def test_simulate_matches_oracle(schedule, seed):
@@ -157,12 +208,13 @@ def test_simulate_matches_oracle(schedule, seed):
     assert oracle_error(simulate(config)) <= EXACT_TOL
 
 
-_CHUNK = simulator._CHUNK_ROWS
-# The serial executor folds max(1, budget // (min(c, _CHUNK) * c)) devices
-# per call. The test lowers the budget to a quarter, so the edges of the
-# rule fall at small blocks: c = 32 folds 16 devices per call (every range
-# whole), 64 folds 4, 65 folds 3 and 128 folds 2 (each in two row chunks),
-# and 129 folds one device per call in three chunks.
+_CHUNK = attention._CHUNK_ROWS
+# The serial executor hands accumulate_block whole device ranges, and it
+# folds max(1, budget // (min(c, _CHUNK) * c)) devices per call. The test
+# lowers the budget to a quarter, so the edges of the rule fall at small
+# blocks: c = 32 folds 16 devices per call (every range whole), 64 folds
+# 4, 65 folds 3 and 128 folds 2 (each in two row chunks), and 129 folds
+# one device per call in three chunks.
 SMALL_BUDGET = 4 * _CHUNK * _CHUNK
 GROUP_EDGES = (_CHUNK // 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
 
@@ -190,7 +242,7 @@ def test_grouped_serial_fold_equals_threads_and_oracle(algo, n, c, precision, se
     # must not depend on the grouping.
     base = dict(algo=algo, n_devices=n, n_seq=n * c, d_head=4, tile_q=c, tile_k=c, seed=seed,
                 precision=precision)
-    with mock.patch.object(simulator, "_CALL_SCORES", SMALL_BUDGET):
+    with mock.patch.object(attention, "_CALL_SCORES", SMALL_BUDGET):
         serial = simulate(SimConfig(**base))
     threaded = simulate(SimConfig(executor="threads", **base))
     assert serial.output.tobytes() == threaded.output.tobytes()

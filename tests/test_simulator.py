@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from ringsim import simulator
+from ringsim import attention, simulator
 from ringsim.attention import get_mask_ring, get_mask_striped, oracle_causal_attention
 from ringsim.simulator import (
     Algo,
@@ -50,6 +50,15 @@ SIZES = dict(n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
 def test_config_rejects_non_integer_sizes(name, bad):
     with pytest.raises(ValueError, match=name):
         SimConfig(algo=Algo.RING, **{**SIZES, name: bad})
+
+
+@pytest.mark.parametrize("bad,message", [(-1, "non-negative, got -1"), (True, "an integer"),
+                                         (1.0, "an integer"), ("3", "an integer"),
+                                         (None, "an integer")])
+def test_config_rejects_a_bad_seed(bad, message):
+    with pytest.raises(ValueError, match=f"seed must be {message}"):
+        SimConfig(algo=Algo.RING, seed=bad, **SIZES)
+    assert type(SimConfig(algo=Algo.RING, seed=np.int64(5), **SIZES).seed) is int
 
 
 def test_config_is_frozen():
@@ -174,6 +183,15 @@ def test_simulate_rejects_non_finite_inputs(which, bad):
         simulate(config, inputs)
 
 
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_simulate_takes_exactly_three_inputs(count):
+    config = SimConfig(algo=Algo.STRIPED, n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
+    q, k, v = random_qkv(8, 4, 0)
+    with pytest.raises(ValueError, match=f"the three arrays Q, K and V, got {count}"):
+        simulate(config, [q, k, v, v][:count])
+    assert simulate(config, iter([q, k, v])).output.shape == (8, 4)
+
+
 @pytest.mark.parametrize("which", range(3))
 def test_simulate_rejects_complex_inputs(which):
     config = SimConfig(algo=Algo.STRIPED, n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2)
@@ -272,7 +290,7 @@ def test_block_larger_than_a_row_chunk(algo, precision, tol):
     # folded without a mask. An exclusive block (striped, k > j) starts its
     # chunks at row 1, because row 0 sees no key: at c = chunk + 1 its rows
     # fill exactly one chunk, at c = chunk and chunk - 1 one short chunk.
-    chunk = simulator._CHUNK_ROWS
+    chunk = attention._CHUNK_ROWS
     for c in (2 * chunk + 44, chunk + 1, chunk, chunk - 1):
         base = dict(algo=algo, n_devices=2, n_seq=2 * c, d_head=8, tile_q=c, tile_k=c, seed=3,
                     precision=precision)
@@ -437,7 +455,7 @@ def test_threaded_fault_fails_fast(monkeypatch, algo):
     # N-1; its peers must stop at once instead of waiting out the channel
     # timeout.
     n = 4
-    real_fold = simulator._fold_block
+    real_fold = simulator.accumulate_block
     folds = []  # appended to by device 0's thread only
 
     def faulty_fold(*args):
@@ -447,7 +465,7 @@ def test_threaded_fault_fails_fast(monkeypatch, algo):
                 raise InjectedFault("device 0, round 1")
         return real_fold(*args)
 
-    monkeypatch.setattr(simulator, "_fold_block", faulty_fold)
+    monkeypatch.setattr(simulator, "accumulate_block", faulty_fold)
     config = SimConfig(
         algo=algo, n_devices=n, n_seq=32, d_head=4, tile_q=2, tile_k=2, executor="threads"
     )
