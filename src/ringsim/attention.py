@@ -61,12 +61,6 @@ class MaskKind(enum.Enum):
     CAUSAL_EXCLUSIVE = "causal_exclusive"  # allowed iff y < x
 
 
-class TileClass(enum.Enum):
-    SKIP = "skip"        # every pair masked; the tile is never computed
-    PARTIAL = "partial"  # mixed; computed with the mask applied
-    FULL = "full"        # every pair allowed; computed unmasked
-
-
 # Where each kind puts the line y <= x + diagonal in a rows x cols block.
 _DIAGONAL = {
     MaskKind.FULLY_MASKED: lambda rows, cols: -rows,
@@ -237,18 +231,27 @@ def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> 
     return block_rows // tile_q, block_cols // tile_k
 
 
-_TILE_CLASSES = np.array([TileClass.SKIP, TileClass.PARTIAL, TileClass.FULL], dtype=object)
+def _tile_bounds(mask: MaskSpec, tile_q: int, tile_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per tile row: tiles [0, full) are full, [full, skip) partial, the rest skipped.
 
-
-def classify_tiles(mask: MaskSpec, tile_q: int, tile_k: int) -> list[list[TileClass]]:
-    """Class of every (tile_q x tile_k) tile of the block, row-major."""
+    A tile is full when its first row sees its last key, and live when its
+    last row sees its first key. Clipping to the grid keeps both bounds
+    exact for any diagonal, past either corner of the block included
+    (with ``np.minimum`` and ``np.maximum``: ``np.clip`` took 3x as long
+    on these small arrays, which ``ringsim verify`` meets ~240 times).
+    """
     grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
-    r0 = np.arange(grid_rows)[:, None] * tile_q
-    c0 = np.arange(grid_cols) * tile_k
-    # A tile's worst pair is (r0, c1 - 1) and its best (r1 - 1, c0).
-    full = c0 + tile_k - 1 <= r0 + mask.diagonal
-    live = c0 <= r0 + tile_q - 1 + mask.diagonal
-    return _TILE_CLASSES[live.astype(np.intp) + full].tolist()
+    line = np.arange(grid_rows, dtype=np.int64) * tile_q + mask.diagonal  # first row's last key
+    full = np.minimum(np.maximum((line + 1) // tile_k, 0), grid_cols)
+    skip = np.minimum(np.maximum((line + tile_q - 1) // tile_k + 1, 0), grid_cols)
+    return full, skip
+
+
+def classify_tiles(mask: MaskSpec, tile_q: int, tile_k: int) -> np.ndarray:
+    """Code of every tile: 0 skip (never computed), 1 partial (masked), 2 full."""
+    full, skip = _tile_bounds(mask, tile_q, tile_k)
+    tj = np.arange(mask.block_cols // tile_k)
+    return (tj < skip[:, None]).astype(np.intp) + (tj < full[:, None])
 
 
 @dataclass(frozen=True)
@@ -263,27 +266,10 @@ class TileCensus:
 
 
 def tile_census(mask: MaskSpec, tile_q: int, tile_k: int) -> TileCensus:
-    """Tile-class counts without building the grid or looping in Python.
-
-    Evaluates, for every tile row at once, how many tiles are full and
-    where the skipped ones start. Must agree exactly with counting over
-    ``classify_tiles``; large configurations use this to account work
-    without touching numerics.
-    """
-    grid_rows, grid_cols = check_tiling(mask.block_rows, mask.block_cols, tile_q, tile_k)
-    total = grid_rows * grid_cols
-    d = mask.diagonal
-    if d <= -mask.block_rows:
-        return TileCensus(0, 0, total)
-    if d >= mask.block_cols - 1:
-        return TileCensus(total, 0, 0)
-    # Between those two lines d is 0 or -1, so neither floor is negative.
-    r0 = np.arange(grid_rows, dtype=np.int64) * tile_q
-    full = (r0 + d + 1) // tile_k                   # tiles with c1 - 1 <= r0 + d
-    first_skip = (r0 + tile_q - 1 + d) // tile_k + 1  # first tj with c0 > r1 - 1 + d
-    n_full = int(np.minimum(full, grid_cols).sum())
-    n_skip = int((grid_cols - np.minimum(first_skip, grid_cols)).sum())
-    return TileCensus(n_full, total - n_full - n_skip, n_skip)
+    """Tile-class counts from the sums of ``_tile_bounds``, without building the grid."""
+    full, skip = _tile_bounds(mask, tile_q, tile_k)
+    n_full, n_live = int(full.sum()), int(skip.sum())
+    return TileCensus(n_full, n_live - n_full, len(full) * (mask.block_cols // tile_k) - n_live)
 
 
 @dataclass
@@ -306,7 +292,8 @@ class SoftmaxAccumulator:
     ) -> "SoftmaxAccumulator":
         """Empty state for ``rows`` query rows, or a shape such as (devices, rows)."""
         shape = rows if isinstance(rows, tuple) else (rows,)
-        if min(shape) < 1 or cols < 1:
+        shape = tuple(check_integer("rows", size) for size in shape)
+        if min(shape) < 1 or check_integer("cols", cols) < 1:
             raise ValueError(f"accumulator must be non-empty, got {rows}x{cols}")
         return cls(
             acc=np.zeros(shape + (cols,), dtype=dtype),
@@ -368,11 +355,23 @@ def accumulate_block(
     after them, through a cached triangle. A triangular block thus costs
     its triangle plus half a chunk square per chunk. The order (groups,
     then chunks) and a stacked product's per-device BLAS call make each
-    device's bytes independent of g. Mutates and returns ``state``.
+    device's bytes independent of g. Only shapes are checked against the
+    mask. Mutates and returns ``state``.
     """
     rows, cols, d = mask.block_rows, mask.block_cols, mask.diagonal
+    if q.ndim != 3:
+        raise ValueError(f"q must be stacked by device, (g, rows, d), got {q.ndim}-D")
+    g = q.shape[0]
+    for name, shape, want in (
+        ("q", q.shape[:2], (g, rows)),
+        ("k", k.shape, (g, cols, q.shape[2])),
+        ("state", state.acc.shape[:2], (g, rows)),
+        ("v", v.shape, (g, cols, state.acc.shape[-1])),
+    ):
+        if shape != want:
+            raise ValueError(f"{name} shape {shape} does not match {want} for mask {rows}x{cols}")
     group = max(1, _CALL_SCORES // (min(rows, _CHUNK_ROWS) * cols))
-    for a in range(0, q.shape[0], group):
+    for a in range(0, g, group):
         b = a + group
         for r0 in range(max(0, -d), rows, _CHUNK_ROWS):
             r1 = min(r0 + _CHUNK_ROWS, rows)

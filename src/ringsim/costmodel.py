@@ -51,7 +51,7 @@ class ModelPreset:
 
     def __post_init__(self):
         for field_name in PRESET_FIELDS:
-            if getattr(self, field_name) < 1:
+            if check_integer(field_name, getattr(self, field_name)) < 1:
                 raise ValueError(f"{field_name} must be positive")
 
 

@@ -126,6 +126,11 @@ def make_layout(config: SimConfig) -> Layout:
 
 
 def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
+    for name, value, least in (("n_seq", n_seq, 1), ("d_head", d_head, 1), ("seed", seed, 0)):
+        if check_integer(name, value) < least:
+            raise ValueError(
+                f"{name} must be {'positive' if least else 'non-negative'}, got {value}"
+            )
     rng = np.random.default_rng(seed)
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
 
@@ -324,7 +329,7 @@ def round_critical_path(stats: Sequence[WorkStats], round_i: int) -> int:
     """Max interactions computed by any device in a round (its latency proxy)."""
     if not stats:
         raise ValueError("no per-device stats")
-    if not 0 <= round_i < len(stats[0].rounds):
+    if not 0 <= check_integer("round_i", round_i) < len(stats[0].rounds):
         raise ValueError(f"round {round_i} out of range")
     return max(ws.rounds[round_i].interactions_computed for ws in stats)
 

@@ -4,14 +4,15 @@ The dense references are deliberately written with plain Python loops and
 math.exp (no shared code with the package) so they stay independent of the
 implementations they check. The work-counter reference enumerates every
 tile of every (device, round) instead of using the closed-form census, and
-sums the dense mask instead of using the closed-form pair count.
+takes each tile's class and pair count from the sum of its dense mask
+instead of from the tile bounds or the closed-form pair count.
 """
 
 import math
 
 import numpy as np
 
-from ringsim.attention import TileClass, classify_tiles, get_mask_ring, get_mask_striped
+from ringsim.attention import get_mask_ring, get_mask_striped
 from ringsim.simulator import Algo, RoundStats, WorkStats
 
 
@@ -55,23 +56,24 @@ def enumerated_work_stats(algo, n_devices, block_size, tile_q, tile_k):
             k = (j - i) % n_devices
             mask = mask_fn(j, k, block_size, n_devices=n_devices)
             dense = mask.allowed_block()
-            counts = dict.fromkeys(TileClass, 0)
+            counts = {"skip": 0, "partial": 0, "full": 0}
             required = 0
-            for ti, grid_row in enumerate(classify_tiles(mask, tile_q, tile_k)):
-                for tj, cls in enumerate(grid_row):
+            for ti in range(block_size // tile_q):
+                for tj in range(block_size // tile_k):
+                    tile = dense[ti * tile_q:(ti + 1) * tile_q, tj * tile_k:(tj + 1) * tile_k]
+                    pairs = int(tile.sum())
+                    cls = "skip" if not pairs else "full" if pairs == tile.size else "partial"
                     counts[cls] += 1
-                    if cls is not TileClass.SKIP:
-                        tile = dense[ti * tile_q:(ti + 1) * tile_q, tj * tile_k:(tj + 1) * tile_k]
-                        required += int(tile.sum())
-            computed = counts[TileClass.FULL] + counts[TileClass.PARTIAL]
+                    required += pairs
+            computed = counts["full"] + counts["partial"]
             rounds.append(
                 RoundStats(
                     round=i,
                     block_index=k,
                     tiles_total=sum(counts.values()),
-                    tiles_skipped=counts[TileClass.SKIP],
-                    tiles_partial=counts[TileClass.PARTIAL],
-                    tiles_full=counts[TileClass.FULL],
+                    tiles_skipped=counts["skip"],
+                    tiles_partial=counts["partial"],
+                    tiles_full=counts["full"],
                     interactions_computed=computed * tile_q * tile_k,
                     interactions_required=required,
                 )

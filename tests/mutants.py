@@ -26,12 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file under src/ringsim, exact text, replacement)
 MUTANTS = [
     (
-        "one tile class flipped in classify_tiles",
+        "_tile_bounds clips the skip start at 1, not 0",
         "attention.py",
-        "    return _TILE_CLASSES[live.astype(np.intp) + full].tolist()",
-        "    codes = live.astype(np.intp) + full\n"
-        "    codes[-1, 0] = (codes[-1, 0] + 1) % 3\n"
-        "    return _TILE_CLASSES[codes].tolist()",
+        "np.maximum((line + tile_q - 1) // tile_k + 1, 0)",
+        "np.maximum((line + tile_q - 1) // tile_k + 1, 1)",
     ),
     (
         "count_allowed counts the exclusive triangle as inclusive",
@@ -172,6 +170,54 @@ MUTANTS = [
         "    return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))\n",
         "    key = (Algo(algo), n, c, tile_q, tile_k)\n"
         "    return _LISTS.setdefault(key, list(_work_stats(*key)))\n\n\n_LISTS = {}\n",
+    ),
+    (
+        "ModelPreset without its integer check",
+        "costmodel.py",
+        "            if check_integer(field_name, getattr(self, field_name)) < 1:",
+        "            if getattr(self, field_name) < 1:",
+    ),
+    (
+        "random_qkv without its argument checks",
+        "simulator.py",
+        "        if check_integer(name, value) < least:\n",
+        "        if False:\n",
+    ),
+    (
+        "round_critical_path takes a bool as a round",
+        "simulator.py",
+        'check_integer("round_i", round_i)',
+        "round_i",
+    ),
+    (
+        "SoftmaxAccumulator.fresh without its rows check",
+        "attention.py",
+        '        shape = tuple(check_integer("rows", size) for size in shape)\n',
+        "",
+    ),
+    (
+        "SoftmaxAccumulator.fresh without its cols check",
+        "attention.py",
+        'check_integer("cols", cols) < 1',
+        "cols < 1",
+    ),
+    (
+        "accumulate_block takes a 2-D q",
+        "attention.py",
+        "    if q.ndim != 3:",
+        "    if q.ndim < 2:",
+    ),
+    (
+        "accumulate_block folds keys of any count",
+        "attention.py",
+        '        ("k", k.shape, (g, cols, q.shape[2])),\n',
+        "",
+    ),
+    (
+        "accumulate_block folds into a state of any shape",
+        "attention.py",
+        '        ("state", state.acc.shape[:2], (g, rows)),\n',
+        "",
     ),
     (
         "MaskSpec without its integer check",

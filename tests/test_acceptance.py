@@ -4,9 +4,10 @@ Each test prints a single ``[criterion N] ... PASS|FAIL`` line; run with
 ``pytest -s tests/test_acceptance.py`` to see them as they execute.
 """
 
+import numpy as np
 import pytest
 
-from ringsim.attention import MaskKind, MaskSpec, TileClass, classify_tiles
+from ringsim.attention import MaskKind, MaskSpec, tile_census
 from ringsim.costmodel import PRESETS, SPEEDUP_TOLERANCE, TmsQuery, compare_golden, tms
 from ringsim.simulator import (
     Algo,
@@ -122,14 +123,14 @@ def test_criterion_3_workload_imbalance():
 
 
 def test_criterion_4_tiling_example():
-    grid = classify_tiles(MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 1536, 1536), 512, 512)
-    flat = [cls for row in grid for cls in row]
-    counts = (
-        flat.count(TileClass.FULL),
-        flat.count(TileClass.PARTIAL),
-        flat.count(TileClass.SKIP),
-    )
-    ok = counts == (3, 3, 3)
+    mask = MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 1536, 1536)
+    census = tile_census(mask, 512, 512)
+    counts = (census.n_full, census.n_partial, census.n_skip)
+    # Tiles below the diagonal are full, on it partial and above it skipped.
+    sums = mask.allowed_block().reshape(3, 512, 3, 512).sum(axis=(1, 3))
+    ti, tj = np.indices((3, 3))
+    placed = np.where(tj < ti, 512 * 512, np.where(tj == ti, 512 * 513 // 2, 0))
+    ok = counts == (3, 3, 3) and np.array_equal(sums, placed)
     _report(4, ok, f"block 1536 with 512 tiles classifies as full/partial/skip = {counts}")
     assert ok
 

@@ -8,7 +8,6 @@ from ringsim.attention import (
     MaskKind,
     MaskSpec,
     SoftmaxAccumulator,
-    TileClass,
     accumulate_block,
     accumulate_tile,
     check_sequence,
@@ -204,19 +203,22 @@ def test_masks_match_position_arithmetic_exhaustively(n, c):
 # ---------------------------------------------------------------------------
 
 
+# Tile class codes.
+SKIP, PARTIAL, FULL = 0, 1, 2
+
+
 def test_classify_tiles_large_causal_block():
     grid = classify_tiles(MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 1536, 1536), 512, 512)
-    flat = [cls for row in grid for cls in row]
-    assert flat.count(TileClass.FULL) == 3
-    assert flat.count(TileClass.PARTIAL) == 3
-    assert flat.count(TileClass.SKIP) == 3
+    np.testing.assert_array_equal(
+        grid, [[PARTIAL, SKIP, SKIP], [FULL, PARTIAL, SKIP], [FULL, FULL, PARTIAL]]
+    )
 
 
 def test_classify_tiles_trivial_cases():
     unmasked = classify_tiles(MaskSpec(MaskKind.FULLY_UNMASKED, 6, 4), 3, 2)
-    assert all(cls is TileClass.FULL for row in unmasked for cls in row)
+    np.testing.assert_array_equal(unmasked, np.full((2, 2), FULL))
     exclusive = classify_tiles(MaskSpec(MaskKind.CAUSAL_EXCLUSIVE, 2, 2), 1, 1)
-    assert exclusive == [[TileClass.SKIP, TileClass.SKIP], [TileClass.FULL, TileClass.SKIP]]
+    np.testing.assert_array_equal(exclusive, [[SKIP, SKIP], [FULL, SKIP]])
 
 
 def test_classify_tiles_rejects_ragged_tiling():
@@ -240,20 +242,19 @@ def test_tile_conservation_against_enumeration(kind, rows, cols):
     for tq, tk in tilings:
         grid = classify_tiles(mask, tq, tk)
         census = tile_census(mask, tq, tk)
-        counts = dict.fromkeys(TileClass, 0)
-        for ti, grid_row in enumerate(grid):
-            for tj, cls in enumerate(grid_row):
-                counts[cls] += 1
-                tile = dense[ti * tq:(ti + 1) * tq, tj * tk:(tj + 1) * tk]
-                if cls is TileClass.SKIP:
-                    assert not tile.any()
-                elif cls is TileClass.FULL:
-                    assert tile.all()
-                else:
-                    assert tile.any() and not tile.all()
-        assert census.n_full == counts[TileClass.FULL]
-        assert census.n_partial == counts[TileClass.PARTIAL]
-        assert census.n_skip == counts[TileClass.SKIP]
+        counts = dict.fromkeys((SKIP, PARTIAL, FULL), 0)
+        for (ti, tj), cls in np.ndenumerate(grid):
+            counts[cls] += 1
+            tile = dense[ti * tq:(ti + 1) * tq, tj * tk:(tj + 1) * tk]
+            if cls == SKIP:
+                assert not tile.any()
+            elif cls == FULL:
+                assert tile.all()
+            else:
+                assert cls == PARTIAL and tile.any() and not tile.all()
+        assert census.n_full == counts[FULL]
+        assert census.n_partial == counts[PARTIAL]
+        assert census.n_skip == counts[SKIP]
         assert census.n_total * tq * tk == rows * cols
     assert mask.count_allowed() == int(dense.sum())
 
@@ -441,6 +442,36 @@ def test_finalize_divides_by_row_sums():
 def test_finalize_rejects_fresh_state():
     with pytest.raises(ValueError, match="attended no keys"):
         finalize(SoftmaxAccumulator.fresh(3, 2))
+
+
+@pytest.mark.parametrize("rows,cols,name", [(2, 2.0, "cols"), ((2, 2.0), 3, "rows"),
+                                           (True, 3, "rows")])
+def test_fresh_names_the_non_integer_size(rows, cols, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SoftmaxAccumulator.fresh(rows, cols)
+
+
+def test_accumulate_block_checks_shapes_against_the_mask():
+    # Every array must match the mask's rows and cols and one device count.
+    rng = np.random.default_rng(4)
+    q, k = rng.standard_normal((2, 8, 3)), rng.standard_normal((2, 8, 3))
+    v = rng.standard_normal((2, 8, 5))
+    mask = MaskSpec(MaskKind.FULLY_UNMASKED, 8, 8)
+    state = SoftmaxAccumulator.fresh((2, 8), 5)
+    accumulate_block(state, q, k, v, mask)
+    for args, message in (
+        ((state, q[0], k, v, mask), r"^q must be stacked by device, \(g, rows, d\), got 2-D"),
+        ((state, q, k, v, MaskSpec(MaskKind.FULLY_UNMASKED, 8, 4)), r"^k shape \(2, 8, 3\)"),
+        ((state, q, k[:1], v, mask), r"^k shape \(1, 8, 3\) does not match \(2, 8, 3\)"),
+        ((state, q, k, v[:, :4], mask), r"^v shape"),
+        ((state, q, k, v[..., :4], mask), r"^v shape"),
+        ((state, q, k[..., :2], v, mask), r"^k shape"),
+        ((state, q[:, :4], k, v, mask), r"^q shape \(2, 4\) does not match \(2, 8\)"),
+        ((state.rows(0, 4), q, k, v, mask), r"^state shape \(2, 4\) does not match"),
+        ((state.devices(0, 1), q, k, v, mask), r"^state shape \(1, 8\) does not match"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            accumulate_block(*args)
 
 
 def test_accumulate_rejects_wrong_mask_shape():

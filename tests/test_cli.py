@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringsim import cli, verify
-from ringsim.attention import MaskKind, MaskSpec, TileClass
+from ringsim.attention import MaskKind, MaskSpec
 from ringsim.cli import STATS_CSV_HEADER, main
 from ringsim.simulator import Algo, SimConfig
 
@@ -221,7 +221,7 @@ def test_tile_check_names_the_first_wrong_tile(monkeypatch):
     def one_wrong_class(mask, tq, tk):
         grid = real_classify(mask, tq, tk)
         if mask.kind is MaskKind.CAUSAL_INCLUSIVE and (mask.block_rows, tq, tk) == (16, 2, 3):
-            grid[5][2] = TileClass.SKIP  # rows 10-11 see keys 6-8: a full tile
+            grid[5, 2] = 0  # skip; rows 10-11 see keys 6-8: a full tile
         return grid
 
     monkeypatch.setattr(verify, "classify_tiles", one_wrong_class)

@@ -81,6 +81,14 @@ def test_tms_query_validation():
         TmsQuery(preset, 16384, 4, 0.0)
 
 
+@pytest.mark.parametrize("sizes,name", [
+    ((1.5, 2, 2, 2, 2), "n_vocab"), ((2, 2, 2, True, 2), "n_layer"), ((2, 2, 2, 2, "2"), "n_head"),
+])
+def test_model_preset_names_the_non_integer_size(sizes, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ModelPreset("x", *sizes)
+
+
 @pytest.mark.parametrize("n_seq,sp", [(1024, 4.0), (1024.0, 4), (1024, True)])
 def test_tms_query_rejects_non_integer_sizes(n_seq, sp):
     with pytest.raises(ValueError, match="must be an integer"):

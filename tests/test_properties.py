@@ -15,7 +15,6 @@ from ringsim.attention import (  # noqa: E402
     MaskKind,
     MaskSpec,
     SoftmaxAccumulator,
-    TileClass,
     accumulate_block,
     accumulate_tile,
     classify_tiles,
@@ -135,19 +134,24 @@ def test_whole_block_masks_match_position_arithmetic(kind, rows, cols, diagonal)
 @BOUNDED
 @given(st.sampled_from(list(MaskKind)), st.integers(1, 48), st.integers(1, 48), st.data())
 def test_tile_classes_match_dense_tile_sums(kind, rows, cols, data):
+    # The kind's own line, then the block moved to a drawn line, past
+    # either corner included: codes 0 skip, 1 partial, 2 full per tile.
     tile_q = data.draw(st.sampled_from([t for t in range(1, rows + 1) if rows % t == 0]))
     tile_k = data.draw(st.sampled_from([t for t in range(1, cols + 1) if cols % t == 0]))
-    mask = MaskSpec(kind, rows, cols)
-    sums = _raw_mask(kind, rows, cols).reshape(
-        rows // tile_q, tile_q, cols // tile_k, tile_k
-    ).sum(axis=(1, 3))
-    full = np.where(sums == tile_q * tile_k, TileClass.FULL, TileClass.PARTIAL)
-    want = np.where(sums == 0, TileClass.SKIP, full)
-    assert classify_tiles(mask, tile_q, tile_k) == want.tolist()
-    census = tile_census(mask, tile_q, tile_k)
-    assert (census.n_full, census.n_partial, census.n_skip) == tuple(
-        int((want == cls).sum()) for cls in (TileClass.FULL, TileClass.PARTIAL, TileClass.SKIP)
-    )
+    diagonal = data.draw(st.integers(-rows - 2, cols + 1))
+    moved = MaskSpec(kind, rows, cols)
+    object.__setattr__(moved, "diagonal", diagonal)
+    for mask, allowed in (
+        (MaskSpec(kind, rows, cols), _raw_mask(kind, rows, cols)),
+        (moved, np.arange(cols) <= np.arange(rows)[:, None] + diagonal),
+    ):
+        sums = allowed.reshape(rows // tile_q, tile_q, cols // tile_k, tile_k).sum(axis=(1, 3))
+        want = (sums > 0).astype(np.intp) + (sums == tile_q * tile_k)
+        np.testing.assert_array_equal(classify_tiles(mask, tile_q, tile_k), want)
+        census = tile_census(mask, tile_q, tile_k)
+        assert (census.n_skip, census.n_partial, census.n_full) == tuple(
+            np.bincount(want.ravel(), minlength=3)
+        )
 
 
 def _copy(state):

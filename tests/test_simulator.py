@@ -52,6 +52,15 @@ def test_config_rejects_non_integer_sizes(name, bad):
         SimConfig(algo=Algo.RING, **{**SIZES, name: bad})
 
 
+@pytest.mark.parametrize("args,message", [
+    ((2.5, 2, 0), "n_seq must be an integer"), ((8, 0, 0), "d_head must be positive"),
+    ((8, 2, -1), "seed must be non-negative, got -1"), ((8, 2, True), "seed must be an integer"),
+])
+def test_random_qkv_names_the_bad_argument(args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        random_qkv(*args)
+
+
 @pytest.mark.parametrize("bad,message", [(-1, "non-negative, got -1"), (True, "an integer"),
                                          (1.0, "an integer"), ("3", "an integer"),
                                          (None, "an integer")])
@@ -489,6 +498,14 @@ def test_round_critical_path_formulas():
         assert round_critical_path(ring, i) == c * c
     for i in range(n):
         assert round_critical_path(striped, i) == c * (c + 1) // 2
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 4])
+def test_round_critical_path_rejects_a_bad_round(bad):
+    stats = schedule_work_stats(Algo.RING, 4, 8, 1, 1)
+    message = "out of range" if type(bad) is int else "round_i must be an integer"
+    with pytest.raises(ValueError, match=message):
+        round_critical_path(stats, bad)
 
 
 def test_simulated_speedup_closed_form_n4():
