@@ -28,16 +28,19 @@ def check_sequence(name: str, x, dtype=None) -> np.ndarray:
     """Coerce to a real float matrix and enforce: 2-D, non-empty, all finite.
 
     Complex input is rejected, not cast, so no imaginary part is dropped.
-    ``dtype`` casts to that float type before the checks, after making
-    sure no finite entry lies beyond its range; by default float32 and
-    float64 pass through and anything else becomes float64.
+    ``dtype`` casts to that float type before the checks. A cast that
+    narrows the float range (float64 to float32) first makes sure no
+    finite entry lies beyond the target's range; any other cast cannot
+    overflow and is not scanned. By default float32 and float64 pass
+    through and anything else becomes float64.
     """
     arr = np.asarray(x)
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
     if dtype is not None:
         limit = np.finfo(dtype).max
-        if arr.dtype.kind == "f" and (np.isfinite(arr) & (np.abs(arr) > limit)).any():
+        narrows = arr.dtype.kind == "f" and np.finfo(arr.dtype).max > limit
+        if narrows and (np.isfinite(arr) & (np.abs(arr) > limit)).any():
             raise ValueError(
                 f"{name} has finite entries beyond the {np.dtype(dtype).name} range "
                 f"(|x| > {limit:.4g}); casting would overflow them to inf"
@@ -216,6 +219,8 @@ def get_mask_striped(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
 
 def check_integer(name: str, value) -> int:
     """``value`` as an int: a Python or numpy integer, not a ``bool``."""
+    if type(value) is int:  # the common case; bool is a subclass, not int itself
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -290,9 +295,16 @@ class SoftmaxAccumulator:
     def fresh(
         cls, rows: int | tuple[int, ...], cols: int, dtype=np.float64
     ) -> "SoftmaxAccumulator":
-        """Empty state for ``rows`` query rows, or a shape such as (devices, rows)."""
+        """Empty state for ``rows`` query rows, or a shape such as (devices, rows).
+
+        ``dtype`` must be a float type: the running maximum starts at -inf.
+        """
         shape = rows if isinstance(rows, tuple) else (rows,)
         shape = tuple(check_integer("rows", size) for size in shape)
+        if not shape:
+            raise ValueError("rows must be a size or a non-empty shape, got ()")
+        if np.dtype(dtype).kind != "f":
+            raise ValueError(f"dtype must be a float type, got {np.dtype(dtype)}")
         if min(shape) < 1 or check_integer("cols", cols) < 1:
             raise ValueError(f"accumulator must be non-empty, got {rows}x{cols}")
         return cls(
@@ -331,11 +343,11 @@ def accumulate_tile(
             live = allowed.any(axis=1)
             if not live.all():
                 if live.any():
-                    sub = SoftmaxAccumulator(state.acc[live], state.m[live], state.l[live])
-                    _fold(sub, scores[live], v_tile)
-                    state.acc[live], state.m[live], state.l[live] = sub.acc, sub.m, sub.l
+                    acc, m, l = state.acc[live], state.m[live], state.l[live]
+                    _fold(acc, m, l, scores[live], v_tile)
+                    state.acc[live], state.m[live], state.l[live] = acc, m, l
                 return state
-    _fold(state, scores, v_tile)
+    _fold(state.acc, state.m, state.l, scores, v_tile)
     return state
 
 
@@ -373,6 +385,7 @@ def accumulate_block(
     group = max(1, _CALL_SCORES // (min(rows, _CHUNK_ROWS) * cols))
     for a in range(0, g, group):
         b = a + group
+        acc, m, l = state.acc[a:b], state.m[a:b], state.l[a:b]
         for r0 in range(max(0, -d), rows, _CHUNK_ROWS):
             r1 = min(r0 + _CHUNK_ROWS, rows)
             width, shared = min(r1 + d, cols), r0 + d  # every row sees keys [0, shared]
@@ -380,31 +393,33 @@ def accumulate_block(
             if shared + 1 < width:
                 upper = _strict_upper(r1 - r0)[:, : width - shared]
                 np.copyto(scores[..., shared:], -np.inf, where=upper)
-            _fold(state.devices(a, b).rows(r0, r1), scores, v[a:b, :width])
+            _fold(acc[:, r0:r1], m[:, r0:r1], l[:, r0:r1], scores, v[a:b, :width])
     return state
 
 
-def _fold(state, scores, v_tile):
-    """Fold ``scores`` (a work array, overwritten) into ``state``; keys on axis -1.
+def _fold(acc, m, l, scores, v_tile):
+    """Fold ``scores`` (a work array, overwritten) into one softmax state; keys on axis -1.
 
-    The state's arrays are updated in place, so views fold into the arrays
-    they view.
+    ``acc``, ``m`` and ``l`` are a ``SoftmaxAccumulator``'s three arrays,
+    or views of them, and are updated in place. Row max and row sum call
+    the ufunc reductions directly: on a few hundred scores the
+    ``ndarray.max``/``.sum`` wrappers cost more than the arithmetic. The
+    reductions are the ones those wrappers call, so the bytes are the same.
     """
-    m_new = np.maximum(state.m, scores.max(axis=-1))
-    carry = np.exp(state.m - m_new)  # exp(-inf - finite) == 0: no prior mass
+    m_new = np.maximum(m, np.maximum.reduce(scores, axis=-1))
+    carry = np.exp(m - m_new)  # exp(-inf - finite) == 0: no prior mass
     scores -= m_new[..., None]
     p = np.exp(scores, out=scores)  # masked scores are -inf, exp gives 0
-    state.acc *= carry[..., None]
-    state.acc += p @ v_tile
-    state.l *= carry
-    state.l += p.sum(axis=-1)
-    state.m[...] = m_new
+    acc *= carry[..., None]
+    acc += p @ v_tile
+    l *= carry
+    l += np.add.reduce(p, axis=-1)
+    m[...] = m_new
 
 
 def finalize(state: SoftmaxAccumulator) -> np.ndarray:
     """Normalize the accumulated output; every row must have attended."""
-    dead = np.argwhere(state.l == 0)
-    if dead.size:
-        where = ", ".join(str(i) for i in dead[0])
+    if not state.l.all():
+        where = ", ".join(str(i) for i in np.argwhere(state.l == 0)[0])
         raise ValueError(f"query row attended no keys (first dead row: {where})")
     return state.acc / state.l[..., None]

@@ -131,6 +131,8 @@ def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
             raise ValueError(
                 f"{name} must be {'positive' if least else 'non-negative'}, got {value}"
             )
+    if np.dtype(dtype) not in (np.float32, np.float64):  # what standard_normal can draw
+        raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     rng = np.random.default_rng(seed)
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
 
@@ -425,4 +427,5 @@ def oracle_error(run: SimRun, reference: np.ndarray | None = None) -> float:
         raise ValueError(
             f"reference shape {reference.shape} does not match the output {run.output.shape}"
         )
-    return float(np.max(np.abs(run.output.astype(np.float64) - reference.astype(np.float64))))
+    diff = np.subtract(run.output, reference, dtype=np.float64)
+    return float(np.abs(diff, out=diff).max())

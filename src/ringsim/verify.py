@@ -23,7 +23,15 @@ from .attention import (
     tile_census,
 )
 from .costmodel import SPEEDUP_TOLERANCE, compare_golden
-from .simulator import ORACLE_TOLERANCE, Algo, SimConfig, oracle_error, random_qkv, simulate
+from .simulator import (
+    ORACLE_TOLERANCE,
+    Algo,
+    SimConfig,
+    oracle_error,
+    random_qkv,
+    schedule_work_stats,
+    simulate,
+)
 
 
 @dataclass(frozen=True)
@@ -181,12 +189,14 @@ def check_exactness(quick: bool = False) -> tuple[PropertyResult, PropertyResult
 
 
 def check_workload_shapes() -> tuple[PropertyResult, PropertyResult]:
-    """Striped per-round balance and ring per-round imbalance, tile 1x1."""
-    n_devices, n_seq = 4, 64
-    c = n_seq // n_devices
-    base = dict(n_devices=n_devices, n_seq=n_seq, d_head=8, tile_q=1, tile_k=1, seed=3)
-    striped = simulate(SimConfig(algo=Algo.STRIPED, **base))
-    ring = simulate(SimConfig(algo=Algo.RING, **base))
+    """Striped per-round balance and ring per-round imbalance, tile 1x1.
+
+    Reads the closed-form counters ``run_schedule`` returns, without
+    running the numerics.
+    """
+    n_devices, c = 4, 16
+    striped = schedule_work_stats(Algo.STRIPED, n_devices, c, 1, 1)
+    ring = schedule_work_stats(Algo.RING, n_devices, c, 1, 1)
     inc, exc = c * (c + 1) // 2, c * (c - 1) // 2
 
     balance = PropertyResult(
@@ -195,7 +205,7 @@ def check_workload_shapes() -> tuple[PropertyResult, PropertyResult]:
         f"every device-round required in {{{inc}, {exc}}}; later rounds exactly both",
     )
     for i in range(n_devices):
-        values = {ws.rounds[i].interactions_required for ws in striped.stats}
+        values = {ws.rounds[i].interactions_required for ws in striped}
         if not values <= {inc, exc}:
             balance = PropertyResult(
                 "striped-balance", False, f"round {i}: required values {sorted(values)}"
@@ -211,7 +221,7 @@ def check_workload_shapes() -> tuple[PropertyResult, PropertyResult]:
         "ring-imbalance", True, f"every round >= 1 has a 0 device and a c^2 = {c * c} device"
     )
     for i in range(1, n_devices):
-        values = [ws.rounds[i].interactions_required for ws in ring.stats]
+        values = [ws.rounds[i].interactions_required for ws in ring]
         if 0 not in values or c * c not in values:
             imbalance = PropertyResult("ring-imbalance", False, f"round {i}: required {values}")
             break

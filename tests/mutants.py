@@ -53,8 +53,8 @@ MUTANTS = [
     (
         "one ulp added to acc in _fold",
         "attention.py",
-        "    state.acc += p @ v_tile\n",
-        "    state.acc += p @ v_tile\n    state.acc[...] = np.nextafter(state.acc, np.inf)\n",
+        "    acc += p @ v_tile\n",
+        "    acc += p @ v_tile\n    acc[...] = np.nextafter(acc, np.inf)\n",
     ),
     (
         "threaded executor: a failing worker does not abort its peers",
@@ -65,8 +65,44 @@ MUTANTS = [
     (
         "check_sequence: no range check before the cast",
         "attention.py",
-        '        if arr.dtype.kind == "f" and (np.isfinite(arr)',
-        '        if arr.dtype.kind == "F" and (np.isfinite(arr)',
+        "        if narrows and (np.isfinite(arr)",
+        "        if False and (np.isfinite(arr)",
+    ),
+    (
+        "check_sequence skips the overflow scan when the cast narrows",
+        "attention.py",
+        "np.finfo(arr.dtype).max > limit",
+        "np.finfo(arr.dtype).max <= limit",
+    ),
+    (
+        "check_integer's early return lets bool through",
+        "attention.py",
+        "    if type(value) is int:",
+        "    if type(value) in (int, bool):",
+    ),
+    (
+        "finalize raises only when every row is dead",
+        "attention.py",
+        "    if not state.l.all():",
+        "    if not state.l.any():",
+    ),
+    (
+        "random_qkv without its dtype check",
+        "simulator.py",
+        "    if np.dtype(dtype) not in (np.float32, np.float64):",
+        "    if False:",
+    ),
+    (
+        "SoftmaxAccumulator.fresh takes an empty shape",
+        "attention.py",
+        "        if not shape:\n",
+        "        if False:\n",
+    ),
+    (
+        "SoftmaxAccumulator.fresh takes a non-float dtype",
+        "attention.py",
+        '        if np.dtype(dtype).kind != "f":',
+        "        if False:",
     ),
     (
         "critical_path_required takes the lighter relation",

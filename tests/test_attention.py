@@ -451,6 +451,17 @@ def test_fresh_names_the_non_integer_size(rows, cols, name):
         SoftmaxAccumulator.fresh(rows, cols)
 
 
+@pytest.mark.parametrize("rows,dtype,message", [
+    ((), np.float64, r"rows must be a size or a non-empty shape, got \(\)"),
+    (2, np.int64, "dtype must be a float type, got int64"),
+], ids=["empty-shape", "int64"])
+def test_fresh_names_an_empty_shape_or_a_non_float_dtype(rows, dtype, message):
+    # An int64 state used to store m = -2**63 with a RuntimeWarning, and an
+    # empty shape failed inside min().
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SoftmaxAccumulator.fresh(rows, 2, dtype)
+
+
 def test_accumulate_block_checks_shapes_against_the_mask():
     # Every array must match the mask's rows and cols and one device count.
     rng = np.random.default_rng(4)

@@ -55,6 +55,8 @@ def test_config_rejects_non_integer_sizes(name, bad):
 @pytest.mark.parametrize("args,message", [
     ((2.5, 2, 0), "n_seq must be an integer"), ((8, 0, 0), "d_head must be positive"),
     ((8, 2, -1), "seed must be non-negative, got -1"), ((8, 2, True), "seed must be an integer"),
+    ((4, 2, 0, np.int32), "dtype must be float32 or float64, got int32"),
+    ((4, 2, 0, np.float16), "dtype must be float32 or float64, got float16"),
 ])
 def test_random_qkv_names_the_bad_argument(args, message):
     with pytest.raises(ValueError, match=f"^{message}"):
