@@ -82,8 +82,8 @@ class MaskSpec:
     kinds move the line past a corner of the block (``block_cols - 1``
     allows every pair, ``-block_rows`` none). ``diagonal`` is derived from
     the kind once, so skip decisions and pair counts never need a boolean
-    mask. The sizes must be integers (``check_integer``) and are stored
-    as ``int``.
+    mask. The sizes must be integers of at least 1 (``check_integer``)
+    and are stored as ``int``.
     """
 
     kind: MaskKind
@@ -93,11 +93,7 @@ class MaskSpec:
 
     def __post_init__(self):
         for name in ("block_rows", "block_cols"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.block_rows < 1 or self.block_cols < 1:
-            raise ValueError(
-                f"mask block must be non-empty, got {self.block_rows}x{self.block_cols}"
-            )
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         diagonal = _DIAGONAL[self.kind](self.block_rows, self.block_cols)
         object.__setattr__(self, "diagonal", diagonal)
 
@@ -181,9 +177,10 @@ def oracle_causal_attention(q, k, v, scale: bool = False) -> np.ndarray:
     return out
 
 
-def _check_block_indices(j, k, n_devices):
-    if not (0 <= j < n_devices and 0 <= k < n_devices):
-        raise ValueError(f"block indices j={j}, k={k} out of range for {n_devices} devices")
+def _check_block_indices(j, k, c, n_devices) -> tuple[int, int]:
+    n_devices = check_integer("n_devices", n_devices, 1)
+    check_integer("c", c, 1)
+    return check_integer("j", j, 0, n_devices), check_integer("k", k, 0, n_devices)
 
 
 def get_mask_ring(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
@@ -193,7 +190,7 @@ def get_mask_ring(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
     so off-diagonal blocks are all-or-nothing; only the diagonal block is
     triangular.
     """
-    _check_block_indices(j, k, n_devices)
+    j, k = _check_block_indices(j, k, c, n_devices)
     if k > j:
         kind = MaskKind.FULLY_MASKED
     elif k == j:
@@ -212,26 +209,37 @@ def get_mask_striped(j: int, k: int, c: int, n_devices: int) -> MaskSpec:
     k <= j and excludes it when k > j. Every block keeps close to half
     its work, which is what balances the schedule.
     """
-    _check_block_indices(j, k, n_devices)
+    j, k = _check_block_indices(j, k, c, n_devices)
     kind = MaskKind.CAUSAL_INCLUSIVE if k <= j else MaskKind.CAUSAL_EXCLUSIVE
     return MaskSpec(kind, c, c)
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` as an int: a Python or numpy integer, not a ``bool``."""
-    if type(value) is int:  # the common case; bool is a subclass, not int itself
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_integer(name: str, value, least: int | None = None, below: int | None = None) -> int:
+    """``value`` as an int in [least, below), each bound optional; a ``bool`` is refused."""
+    if type(value) is not int:  # the common case skips this; bool is a subclass, not int
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if below is not None and value >= below:
+        raise ValueError(f"{name} must be below {below}, got {value}")
+    return value
+
+
+def _as_dtype(dtype) -> np.dtype:
+    try:
+        return np.dtype(dtype)
+    except TypeError:
+        raise ValueError(f"dtype must be a numpy dtype, got {dtype!r}") from None
 
 
 def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> tuple[int, int]:
     """Tile-grid shape of a block; each tile side must be an integer dividing the block side."""
-    tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)
-    if tile_q < 1 or block_rows % tile_q:
+    tile_q, tile_k = check_integer("tile_q", tile_q, 1), check_integer("tile_k", tile_k, 1)
+    if block_rows % tile_q:
         raise ValueError(f"tile_q={tile_q} does not divide block_rows={block_rows}")
-    if tile_k < 1 or block_cols % tile_k:
+    if block_cols % tile_k:
         raise ValueError(f"tile_k={tile_k} does not divide block_cols={block_cols}")
     return block_rows // tile_q, block_cols // tile_k
 
@@ -300,23 +308,17 @@ class SoftmaxAccumulator:
         ``dtype`` must be a float type: the running maximum starts at -inf.
         """
         shape = rows if isinstance(rows, tuple) else (rows,)
-        shape = tuple(check_integer("rows", size) for size in shape)
+        shape = tuple(check_integer("rows", size, 1) for size in shape)
         if not shape:
             raise ValueError("rows must be a size or a non-empty shape, got ()")
-        if np.dtype(dtype).kind != "f":
-            raise ValueError(f"dtype must be a float type, got {np.dtype(dtype)}")
-        if min(shape) < 1 or check_integer("cols", cols) < 1:
-            raise ValueError(f"accumulator must be non-empty, got {rows}x{cols}")
+        dtype = _as_dtype(dtype)
+        if dtype.kind != "f":
+            raise ValueError(f"dtype must be a float type, got {dtype}")
+        cols = check_integer("cols", cols, 1)
         return cls(
             acc=np.zeros(shape + (cols,), dtype=dtype),
             m=np.full(shape, -np.inf, dtype=dtype),
             l=np.zeros(shape, dtype=dtype),
-        )
-
-    def rows(self, start: int, stop: int) -> "SoftmaxAccumulator":
-        """View onto a range of the row axis; updates through it hit this accumulator."""
-        return SoftmaxAccumulator(
-            self.acc[..., start:stop, :], self.m[..., start:stop], self.l[..., start:stop]
         )
 
     def devices(self, start: int, stop: int) -> "SoftmaxAccumulator":

@@ -217,7 +217,7 @@ def cmd_tms(args) -> int:
             return _run_golden_compare(args)
         except (OSError, ValueError, KeyError) as exc:
             return _usage_error(str(exc))
-    if not args.model or not args.sp or not args.seq_len:
+    if not args.model or args.sp is None or not args.seq_len:
         return _usage_error("tms needs --model, --sp and --seq-len (or --golden PATH)")
     try:
         preset = _resolve_preset(args.model)

@@ -51,8 +51,7 @@ class ModelPreset:
 
     def __post_init__(self):
         for field_name in PRESET_FIELDS:
-            if check_integer(field_name, getattr(self, field_name)) < 1:
-                raise ValueError(f"{field_name} must be positive")
+            check_integer(field_name, getattr(self, field_name), 1)
 
 
 PRESETS = {
@@ -104,7 +103,7 @@ class TmsQuery:
     flop_weight: float = 2.0  # attention-FLOP cost relative to other FLOPs
 
     def __post_init__(self):
-        check_split(self.n_seq, check_integer("sp", self.sp))
+        check_split(self.n_seq, check_integer("sp", self.sp, 2))
         if not 0 < self.flop_weight < math.inf:
             raise ValueError(f"flop_weight must be positive and finite, got {self.flop_weight}")
 

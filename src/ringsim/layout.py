@@ -31,11 +31,10 @@ class Algo(enum.Enum):
 
 
 def check_split(n_seq: int, n_devices: int) -> int:
-    """Block size of an even split of n_seq tokens over n_devices >= 2 devices, both integers."""
-    n_seq, n_devices = check_integer("n_seq", n_seq), check_integer("n_devices", n_devices)
-    if n_devices < 2:
-        raise ValueError(f"need at least 2 devices, got {n_devices}")
-    if n_seq < n_devices or n_seq % n_devices != 0:
+    """Block size of an even split of n_seq >= n_devices tokens over n_devices >= 2 devices."""
+    n_devices = check_integer("n_devices", n_devices, 2)
+    n_seq = check_integer("n_seq", n_seq, n_devices)
+    if n_seq % n_devices:
         raise ValueError(f"{n_devices} devices must evenly divide sequence length {n_seq}")
     return n_seq // n_devices
 
@@ -66,10 +65,8 @@ class Layout:
 
     def global_of(self, device: int, local: int) -> int:
         """Original sequence position of local row `local` on `device`."""
-        if not 0 <= device < self.n_devices:
-            raise ValueError(f"device {device} out of range (N={self.n_devices})")
-        if not 0 <= local < self.block_size:
-            raise ValueError(f"local index {local} out of range (block size {self.block_size})")
+        device = check_integer("device", device, 0, self.n_devices)
+        local = check_integer("local", local, 0, self.block_size)
         return int(self.positions()[device, local])
 
     def positions(self) -> np.ndarray:

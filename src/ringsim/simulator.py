@@ -43,6 +43,7 @@ import numpy as np
 from .attention import (
     MaskSpec,
     SoftmaxAccumulator,
+    _as_dtype,
     accumulate_block,
     check_integer,
     check_sequence,
@@ -73,14 +74,11 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algo", Algo(self.algo))
-        c = check_split(self.n_seq, self.n_devices)
-        if check_integer("d_head", self.d_head) < 1:
-            raise ValueError(f"d_head must be positive, got {self.d_head}")
-        if check_integer("seed", self.seed) < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("n_devices", 2), ("n_seq", None), ("d_head", 1),
+                            ("tile_q", 1), ("tile_k", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
+        c = check_split(self.n_seq, self.n_devices)  # n_seq's bound is n_devices
         check_tiling(c, c, self.tile_q, self.tile_k)
-        for name in ("n_devices", "n_seq", "d_head", "tile_q", "tile_k", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.precision not in ("double", "single"):
             raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
         if self.executor not in ("serial", "threads"):
@@ -127,11 +125,8 @@ def make_layout(config: SimConfig) -> Layout:
 
 def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
     for name, value, least in (("n_seq", n_seq, 1), ("d_head", d_head, 1), ("seed", seed, 0)):
-        if check_integer(name, value) < least:
-            raise ValueError(
-                f"{name} must be {'positive' if least else 'non-negative'}, got {value}"
-            )
-    if np.dtype(dtype) not in (np.float32, np.float64):  # what standard_normal can draw
+        check_integer(name, value, least)
+    if _as_dtype(dtype) not in (np.float32, np.float64):  # what standard_normal can draw
         raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     rng = np.random.default_rng(seed)
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
@@ -266,16 +261,9 @@ def schedule_work_stats(
     frozen ``WorkStats``. The list is new on every call, so a caller may
     change it without changing what the next caller gets.
     """
-    n, c = _check_schedule(n_devices, block_size)
+    n, c = check_integer("n_devices", n_devices, 2), check_integer("block_size", block_size, 1)
     tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)
     return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))
-
-
-def _check_schedule(n_devices: int, block_size: int) -> tuple[int, int]:
-    """(N, block size) as ints, each checked by its own name, then the split."""
-    n, c = check_integer("n_devices", n_devices), check_integer("block_size", block_size)
-    check_split(n * c, n)
-    return n, c
 
 
 # Called with checked ints only: lru_cache finds a key by equality (8.0 == 8,
@@ -331,8 +319,7 @@ def round_critical_path(stats: Sequence[WorkStats], round_i: int) -> int:
     """Max interactions computed by any device in a round (its latency proxy)."""
     if not stats:
         raise ValueError("no per-device stats")
-    if not 0 <= check_integer("round_i", round_i) < len(stats[0].rounds):
-        raise ValueError(f"round {round_i} out of range")
+    round_i = check_integer("round_i", round_i, 0, len(stats[0].rounds))
     return max(ws.rounds[round_i].interactions_computed for ws in stats)
 
 
@@ -351,7 +338,7 @@ def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     every call; the count is computed once per (algo, N, block size) in
     a process.
     """
-    n, c = _check_schedule(n_devices, block_size)
+    n, c = check_integer("n_devices", n_devices, 2), check_integer("block_size", block_size, 1)
     return _critical_path_required(Algo(algo), n, c)
 
 

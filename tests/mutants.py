@@ -77,8 +77,8 @@ MUTANTS = [
     (
         "check_integer's early return lets bool through",
         "attention.py",
-        "    if type(value) is int:",
-        "    if type(value) in (int, bool):",
+        "    if type(value) is not int:",
+        "    if type(value) not in (int, bool):",
     ),
     (
         "finalize raises only when every row is dead",
@@ -89,7 +89,7 @@ MUTANTS = [
     (
         "random_qkv without its dtype check",
         "simulator.py",
-        "    if np.dtype(dtype) not in (np.float32, np.float64):",
+        "    if _as_dtype(dtype) not in (np.float32, np.float64):",
         "    if False:",
     ),
     (
@@ -101,7 +101,7 @@ MUTANTS = [
     (
         "SoftmaxAccumulator.fresh takes a non-float dtype",
         "attention.py",
-        '        if np.dtype(dtype).kind != "f":',
+        '        if dtype.kind != "f":',
         "        if False:",
     ),
     (
@@ -155,17 +155,16 @@ MUTANTS = [
         "                           (first, min(i, stop), below)):",
     ),
     (
-        "check_split without its integer test",
+        "check_split without its n_seq check",
         "layout.py",
-        '    n_seq, n_devices = check_integer("n_seq", n_seq), '
-        'check_integer("n_devices", n_devices)\n',
+        '    n_seq = check_integer("n_seq", n_seq, n_devices)\n',
         "",
     ),
     (
-        "_check_block_indices without its upper-bound test",
+        "_check_block_indices without its upper bounds",
         "attention.py",
-        "    if not (0 <= j < n_devices and 0 <= k < n_devices):",
-        "    if not (0 <= j and 0 <= k):",
+        'check_integer("j", j, 0, n_devices), check_integer("k", k, 0, n_devices)',
+        'check_integer("j", j, 0), check_integer("k", k, 0)',
     ),
     (
         "SimConfig not frozen",
@@ -176,9 +175,8 @@ MUTANTS = [
     (
         "SimConfig accepts a negative seed",
         "simulator.py",
-        '        if check_integer("seed", self.seed) < 0:\n'
-        '            raise ValueError(f"seed must be non-negative, got {self.seed}")\n',
-        "",
+        '("tile_k", 1), ("seed", 0)',
+        '("tile_k", 1), ("seed", None)',
     ),
     (
         "simulate takes any number of input arrays",
@@ -210,32 +208,32 @@ MUTANTS = [
     (
         "ModelPreset without its integer check",
         "costmodel.py",
-        "            if check_integer(field_name, getattr(self, field_name)) < 1:",
-        "            if getattr(self, field_name) < 1:",
+        "            check_integer(field_name, getattr(self, field_name), 1)",
+        "            getattr(self, field_name)",
     ),
     (
         "random_qkv without its argument checks",
         "simulator.py",
-        "        if check_integer(name, value) < least:\n",
-        "        if False:\n",
+        "        check_integer(name, value, least)\n",
+        "        pass\n",
     ),
     (
         "round_critical_path takes a bool as a round",
         "simulator.py",
-        'check_integer("round_i", round_i)',
-        "round_i",
+        '    round_i = check_integer("round_i", round_i, 0, len(stats[0].rounds))\n',
+        "",
     ),
     (
         "SoftmaxAccumulator.fresh without its rows check",
         "attention.py",
-        '        shape = tuple(check_integer("rows", size) for size in shape)\n',
+        '        shape = tuple(check_integer("rows", size, 1) for size in shape)\n',
         "",
     ),
     (
         "SoftmaxAccumulator.fresh without its cols check",
         "attention.py",
-        'check_integer("cols", cols) < 1',
-        "cols < 1",
+        '        cols = check_integer("cols", cols, 1)\n',
+        "",
     ),
     (
         "accumulate_block takes a 2-D q",
@@ -259,7 +257,45 @@ MUTANTS = [
         "MaskSpec without its integer check",
         "attention.py",
         '        for name in ("block_rows", "block_cols"):\n'
-        "            object.__setattr__(self, name, check_integer(name, getattr(self, name)))\n",
+        "            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))\n",
+        "",
+    ),
+    (
+        "check_integer's least bound is off by one",
+        "attention.py",
+        "    if least is not None and value < least:",
+        "    if least is not None and value <= least:",
+    ),
+    (
+        "check_integer's below bound is off by one",
+        "attention.py",
+        "    if below is not None and value >= below:",
+        "    if below is not None and value > below:",
+    ),
+    (
+        "a value that names no dtype escapes as numpy's TypeError",
+        "attention.py",
+        "    except TypeError:\n        raise ValueError(f\"dtype must be a numpy dtype",
+        "    except ValueError:\n        raise ValueError(f\"dtype must be a numpy dtype",
+    ),
+    (
+        "get_mask_ring and get_mask_striped do not check c",
+        "attention.py",
+        '    check_integer("c", c, 1)\n',
+        "",
+    ),
+    (
+        "schedule_work_stats lets a block size of 0 through to the masks",
+        "simulator.py",
+        'check_integer("block_size", block_size, 1)\n'
+        '    tile_q, tile_k =',
+        'check_integer("block_size", block_size)\n'
+        '    tile_q, tile_k =',
+    ),
+    (
+        "Layout.global_of without its local check",
+        "layout.py",
+        '        local = check_integer("local", local, 0, self.block_size)\n',
         "",
     ),
 ]

@@ -155,7 +155,7 @@ def test_mask_index_range_checks():
     with pytest.raises(ValueError):
         get_mask_striped(0, 0, 0, n_devices=4)
     # A block index past the ring is refused, so the count cannot be left out.
-    with pytest.raises(ValueError, match="out of range for 4 devices"):
+    with pytest.raises(ValueError, match="^j must be below 4, got 5"):
         get_mask_striped(5, 1, 4, n_devices=4)
     with pytest.raises(TypeError):
         get_mask_ring(5, 1, 4)
@@ -165,8 +165,8 @@ def test_mask_index_range_checks():
     (lambda: MaskSpec(MaskKind.CAUSAL_INCLUSIVE, 8.0, 8.0), "block_rows"),
     (lambda: MaskSpec(MaskKind.CAUSAL_INCLUSIVE, True, 3), "block_rows"),
     (lambda: MaskSpec(MaskKind.FULLY_UNMASKED, 4, np.float64(4)), "block_cols"),
-    (lambda: get_mask_ring(0, 0, 8.0, 2), "block_rows"),
-    (lambda: get_mask_striped(1, 0, 8.0, 2), "block_rows"),
+    (lambda: get_mask_ring(0, 0, 8.0, 2), "c"),
+    (lambda: get_mask_striped(1, 0, 8.0, 2), "c"),
 ], ids=["float", "bool", "numpy-float", "get_mask_ring", "get_mask_striped"])
 def test_mask_spec_rejects_non_integer_sizes(make, name):
     # MaskSpec(CAUSAL_INCLUSIVE, 8.0, 8.0).count_allowed() used to return 36.0.
@@ -338,7 +338,8 @@ def test_causal_rows_equal_masked_tile(extra):
             r1 = min(r0 + chunk, rows)
             width = min(r1 + mask.diagonal, cols)
             allowed = mask.allowed_block()[r0:r1, :width]
-            accumulate_tile(want.rows(r0, r1), q[r0:r1], k[:width], v[:width], allowed)
+            rows_view = SoftmaxAccumulator(want.acc[r0:r1], want.m[r0:r1], want.l[r0:r1])
+            accumulate_tile(rows_view, q[r0:r1], k[:width], v[:width], allowed)
         got = SoftmaxAccumulator.fresh((1, rows), 3)
         accumulate_block(got, q[None], k[None, :cols], v[None, :cols], mask)
         for name in ("acc", "m", "l"):
@@ -404,7 +405,7 @@ def test_in_place_fold_equals_out_of_place_formula(dtype):
     for _ in range(2):
         q, k, v = (rng.standard_normal((g, n, w)).astype(dtype)
                    for n, w in ((r1 - r0, d), (width, d), (width, d_v)))
-        view = state.rows(r0, r1)
+        view = SoftmaxAccumulator(state.acc[:, r0:r1], state.m[:, r0:r1], state.l[:, r0:r1])
         scores = q @ k.swapaxes(-1, -2)
         scores[:, ~mask.allowed_block()] = -np.inf
         want = _fold_out_of_place(view, scores, v)
@@ -418,7 +419,7 @@ def test_in_place_fold_equals_out_of_place_formula(dtype):
     allowed = np.arange(width) <= np.arange(r1 - r0)[:, None] - 2
     live = allowed.any(axis=1)
     for dev in range(g):
-        tile = SoftmaxAccumulator(state.acc[dev], state.m[dev], state.l[dev]).rows(r0, r1)
+        tile = SoftmaxAccumulator(state.acc[dev, r0:r1], state.m[dev, r0:r1], state.l[dev, r0:r1])
         for mask in (None, allowed):
             q, k, v = (rng.standard_normal((n, w)).astype(dtype)
                        for n, w in ((r1 - r0, d), (width, d), (width, d_v)))
@@ -470,6 +471,7 @@ def test_accumulate_block_checks_shapes_against_the_mask():
     mask = MaskSpec(MaskKind.FULLY_UNMASKED, 8, 8)
     state = SoftmaxAccumulator.fresh((2, 8), 5)
     accumulate_block(state, q, k, v, mask)
+    first_rows = SoftmaxAccumulator(state.acc[:, :4], state.m[:, :4], state.l[:, :4])
     for args, message in (
         ((state, q[0], k, v, mask), r"^q must be stacked by device, \(g, rows, d\), got 2-D"),
         ((state, q, k, v, MaskSpec(MaskKind.FULLY_UNMASKED, 8, 4)), r"^k shape \(2, 8, 3\)"),
@@ -478,7 +480,7 @@ def test_accumulate_block_checks_shapes_against_the_mask():
         ((state, q, k, v[..., :4], mask), r"^v shape"),
         ((state, q, k[..., :2], v, mask), r"^k shape"),
         ((state, q[:, :4], k, v, mask), r"^q shape \(2, 4\) does not match \(2, 8\)"),
-        ((state.rows(0, 4), q, k, v, mask), r"^state shape \(2, 4\) does not match"),
+        ((first_rows, q, k, v, mask), r"^state shape \(2, 4\) does not match"),
         ((state.devices(0, 1), q, k, v, mask), r"^state shape \(1, 8\) does not match"),
     ):
         with pytest.raises(ValueError, match=message):

@@ -46,7 +46,7 @@ def test_simulate_rejects_non_dividing_devices(capsys):
 def test_simulate_rejects_a_negative_seed(capsys):
     code = main("simulate --devices 2 --seq-len 8 --tile-q 1 --tile-k 1 --seed -1".split())
     assert code == 2
-    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_non_dividing_tiles(capsys):
@@ -308,3 +308,9 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "1.40" in proc.stdout
+
+
+def test_tms_names_a_bad_sp(capsys):
+    # --sp 0 used to be reported as a missing flag.
+    assert main("tms --model 1b --sp 0 --seq-len 1024".split()) == 2
+    assert "error: sp must be at least 2, got 0" in capsys.readouterr().err

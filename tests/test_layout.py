@@ -43,10 +43,11 @@ def test_layout_rejects_an_unknown_scheme_name():
         Layout("zigzag", 8, 2)
 
 
-@pytest.mark.parametrize("sizes", [(8.0, 2), (8, 2.0), (True, 1), ("8", 2)])
+@pytest.mark.parametrize("sizes", [(8.0, 2), (8, 2.0), (True, 2), ("8", 2)])
 def test_layout_rejects_non_integer_sizes(sizes):
     # Layout("ring", 8.0, 2) used to construct, and positions() then raised a TypeError.
-    with pytest.raises(ValueError, match="must be an integer"):
+    name = "n_devices" if type(sizes[0]) is int else "n_seq"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         Layout("ring", *sizes)
 
 

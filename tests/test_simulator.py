@@ -53,8 +53,8 @@ def test_config_rejects_non_integer_sizes(name, bad):
 
 
 @pytest.mark.parametrize("args,message", [
-    ((2.5, 2, 0), "n_seq must be an integer"), ((8, 0, 0), "d_head must be positive"),
-    ((8, 2, -1), "seed must be non-negative, got -1"), ((8, 2, True), "seed must be an integer"),
+    ((2.5, 2, 0), "n_seq must be an integer"), ((8, 0, 0), "d_head must be at least 1, got 0"),
+    ((8, 2, -1), "seed must be at least 0, got -1"), ((8, 2, True), "seed must be an integer"),
     ((4, 2, 0, np.int32), "dtype must be float32 or float64, got int32"),
     ((4, 2, 0, np.float16), "dtype must be float32 or float64, got float16"),
 ])
@@ -63,7 +63,7 @@ def test_random_qkv_names_the_bad_argument(args, message):
         random_qkv(*args)
 
 
-@pytest.mark.parametrize("bad,message", [(-1, "non-negative, got -1"), (True, "an integer"),
+@pytest.mark.parametrize("bad,message", [(-1, "at least 0, got -1"), (True, "an integer"),
                                          (1.0, "an integer"), ("3", "an integer"),
                                          (None, "an integer")])
 def test_config_rejects_a_bad_seed(bad, message):
@@ -505,8 +505,8 @@ def test_round_critical_path_formulas():
 @pytest.mark.parametrize("bad", [True, 1.0, -1, 4])
 def test_round_critical_path_rejects_a_bad_round(bad):
     stats = schedule_work_stats(Algo.RING, 4, 8, 1, 1)
-    message = "out of range" if type(bad) is int else "round_i must be an integer"
-    with pytest.raises(ValueError, match=message):
+    message = {-1: "at least 0, got -1", 4: "below 4, got 4"}.get(bad, "an integer")
+    with pytest.raises(ValueError, match=f"^round_i must be {message}"):
         round_critical_path(stats, bad)
 
 
