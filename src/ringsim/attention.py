@@ -34,10 +34,12 @@ def check_sequence(name: str, x, dtype=None) -> np.ndarray:
     overflow and is not scanned. By default float32 and float64 pass
     through and anything else becomes float64.
     """
-    arr = np.asarray(x)
+    arr = check_array(name, x, (None, None))
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
-    if dtype is not None:
+    if dtype is None:
+        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
+    else:
         limit = np.finfo(dtype).max
         narrows = arr.dtype.kind == "f" and np.finfo(arr.dtype).max > limit
         if narrows and (np.isfinite(arr) & (np.abs(arr) > limit)).any():
@@ -45,15 +47,34 @@ def check_sequence(name: str, x, dtype=None) -> np.ndarray:
                 f"{name} has finite entries beyond the {np.dtype(dtype).name} range "
                 f"(|x| > {limit:.4g}); casting would overflow them to inf"
             )
+    try:  # an object array may hold values no float can take
         arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be real numbers: {exc}") from None
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {tuple(arr.shape)}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def check_array(name: str, x, shape: tuple, dtype=None) -> np.ndarray:
+    """``x`` as an array of ``shape``, ``None`` matching any size, and of ``dtype`` if given."""
+    if type(x) is np.ndarray and x.shape == shape and (dtype is None or x.dtype == dtype):
+        return x  # the common case: every size fixed and already met
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting of sequences
+        raise ValueError(f"{name} is not one array: {exc}") from None
+    fits = len(arr.shape) == len(shape)
+    for size, want in zip(arr.shape, shape):  # a loop: any() over a generator costs 2x
+        if want is not None and size != want:
+            fits = False
+    if not fits:
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} shape {arr.shape} does not match ({expected})")
+    if dtype is not None and arr.dtype != dtype:
+        raise ValueError(f"{name} is {arr.dtype}, expected {np.dtype(dtype)}")
     return arr
 
 
@@ -156,14 +177,10 @@ def oracle_causal_attention(q, k, v, scale: bool = False) -> np.ndarray:
     one panel to the next, so this stays independent of the streaming fold
     it is the ground truth for.
     """
-    q = check_sequence("Q", q)
-    k = check_sequence("K", k)
-    v = check_sequence("V", v)
+    q, k, v = (check_sequence(name, x) for name, x in zip("QKV", (q, k, v)))
     n = q.shape[0]
-    if k.shape[0] != n or v.shape[0] != n:
-        raise ValueError(f"Q/K/V row counts differ: {q.shape[0]}, {k.shape[0]}, {v.shape[0]}")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"Q and K widths differ: {q.shape[1]} vs {k.shape[1]}")
+    check_array("K", k, q.shape)
+    check_array("V", v, (n, None))
     if scale:
         q = q * q.dtype.type(1.0 / math.sqrt(q.shape[1]))
     out = np.empty((n, v.shape[1]), dtype=np.result_type(q, k, v))
@@ -236,6 +253,8 @@ def _as_dtype(dtype) -> np.dtype:
 
 def check_tiling(block_rows: int, block_cols: int, tile_q: int, tile_k: int) -> tuple[int, int]:
     """Tile-grid shape of a block; each tile side must be an integer dividing the block side."""
+    block_rows = check_integer("block_rows", block_rows, 1)
+    block_cols = check_integer("block_cols", block_cols, 1)
     tile_q, tile_k = check_integer("tile_q", tile_q, 1), check_integer("tile_k", tile_k, 1)
     if block_rows % tile_q:
         raise ValueError(f"tile_q={tile_q} does not divide block_rows={block_rows}")
@@ -333,13 +352,17 @@ def accumulate_tile(
 
     ``allowed`` is None for a fully unmasked tile, else a boolean
     (q_rows, k_rows) matrix. Rows whose tile scores are entirely masked
-    are left untouched, bit for bit. Mutates and returns ``state``.
+    are left untouched, bit for bit. Checks structure, as ``accumulate_block``
+    does. Mutates and returns ``state``.
     """
+    rows, d_v = check_array("state", state.acc, (None, None)).shape
+    dtype = state.acc.dtype
+    q_tile = check_array("q_tile", q_tile, (rows, None), dtype)
+    k_tile = check_array("k_tile", k_tile, (None, q_tile.shape[1]), dtype)
+    v_tile = check_array("v_tile", v_tile, (k_tile.shape[0], d_v), dtype)
     scores = q_tile @ k_tile.T
     if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != scores.shape:
-            raise ValueError(f"mask shape {allowed.shape} does not match scores {scores.shape}")
+        allowed = check_array("allowed", allowed, scores.shape, bool)
         if not allowed.all():
             scores[~allowed] = -np.inf
             live = allowed.any(axis=1)
@@ -369,21 +392,16 @@ def accumulate_block(
     after them, through a cached triangle. A triangular block thus costs
     its triangle plus half a chunk square per chunk. The order (groups,
     then chunks) and a stacked product's per-device BLAS call make each
-    device's bytes independent of g. Only shapes are checked against the
-    mask. Mutates and returns ``state``.
+    device's bytes independent of g. Checks structure only, shapes and the
+    state's dtype, never values (``check_sequence``). Mutates and returns ``state``.
     """
     rows, cols, d = mask.block_rows, mask.block_cols, mask.diagonal
-    if q.ndim != 3:
-        raise ValueError(f"q must be stacked by device, (g, rows, d), got {q.ndim}-D")
+    dtype = state.acc.dtype
+    q = check_array("q", q, (None, rows, None), dtype)
     g = q.shape[0]
-    for name, shape, want in (
-        ("q", q.shape[:2], (g, rows)),
-        ("k", k.shape, (g, cols, q.shape[2])),
-        ("state", state.acc.shape[:2], (g, rows)),
-        ("v", v.shape, (g, cols, state.acc.shape[-1])),
-    ):
-        if shape != want:
-            raise ValueError(f"{name} shape {shape} does not match {want} for mask {rows}x{cols}")
+    k = check_array("k", k, (g, cols, q.shape[2]), dtype)
+    d_v = check_array("state", state.acc, (g, rows, None)).shape[2]
+    v = check_array("v", v, (g, cols, d_v), dtype)
     group = max(1, _CALL_SCORES // (min(rows, _CHUNK_ROWS) * cols))
     for a in range(0, g, group):
         b = a + group

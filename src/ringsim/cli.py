@@ -191,7 +191,7 @@ def _run_golden_compare(args) -> int:
     deltas = compare_golden(golden_rows(args.golden))
     if args.model:
         deltas = [d for d in deltas if d.row.model == args.model]
-    if args.sp:
+    if args.sp is not None:
         deltas = [d for d in deltas if d.row.mesh[1] == args.sp]
     if not deltas:
         return _usage_error("no golden rows match the given filters")

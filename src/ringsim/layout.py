@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import check_integer
+from .attention import check_array, check_integer
 
 
 class Algo(enum.Enum):
@@ -57,6 +57,8 @@ class Layout:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Algo(self.scheme))
+        for name in ("n_devices", "n_seq"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_split(self.n_seq, self.n_devices)
 
     @property
@@ -82,21 +84,13 @@ class Layout:
         Row ``global_of(d, x)`` of every input lands at local row x of
         device d. Each input is gathered once into an (N, c, ...) array.
         """
-        q, k, v = (np.asarray(x) for x in (q, k, v))
-        for name, x in (("Q", q), ("K", k), ("V", v)):
-            if x.ndim != 2 or x.shape[0] != self.n_seq:
-                raise ValueError(f"{name} must have {self.n_seq} rows, got shape {tuple(x.shape)}")
+        q, k, v = (check_array(name, x, (self.n_seq, None)) for name, x in zip("QKV", (q, k, v)))
         order = self.positions()
         return PermutedBatch(self, q[order], k[order], v[order])
 
     def gather(self, per_device) -> np.ndarray:
-        """Exact inverse of partition for per-device tensors, stacked (N, c, ...) or a list."""
-        stacked = np.asarray(per_device)  # a ragged list raises ValueError here
-        if stacked.shape[:2] != (self.n_devices, self.block_size):
-            raise ValueError(
-                f"per-device outputs have shape {stacked.shape}, expected {self.n_devices} "
-                f"devices x {self.block_size} rows"
-            )
+        """Exact inverse of partition for per-device outputs, stacked (N, c, d) or a list."""
+        stacked = check_array("per_device", per_device, (self.n_devices, self.block_size, None))
         out = np.empty((self.n_seq,) + stacked.shape[2:], dtype=stacked.dtype)
         out[self.positions()] = stacked
         return out

@@ -45,6 +45,7 @@ from .attention import (
     SoftmaxAccumulator,
     _as_dtype,
     accumulate_block,
+    check_array,
     check_integer,
     check_sequence,
     check_tiling,
@@ -231,15 +232,9 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
     layout = make_layout(config)
     if batch.layout != layout:
         raise ValueError(f"batch is partitioned as {batch.layout}, but the config runs {layout}")
-    want = (n, c, config.d_head)
-    if batch.q.shape != want or batch.k.shape != want or batch.v.shape[:2] != want[:2]:
-        raise ValueError(
-            f"batch Q/K/V shapes {batch.q.shape}, {batch.k.shape}, {batch.v.shape} do not "
-            f"match {n} devices x block {c} x d_head {config.d_head}"
-        )
-    for name, x in zip("QKV", (batch.q, batch.k, batch.v)):
-        if x.dtype != config.dtype:
-            raise ValueError(f"batch {name} is {x.dtype}, the config needs {np.dtype(config.dtype)}")
+    for name, x, width in (("Q", batch.q, config.d_head), ("K", batch.k, config.d_head),
+                           ("V", batch.v, None)):
+        check_array(f"batch {name}", x, (n, c, width), config.dtype)
     acc = SoftmaxAccumulator.fresh((n, c), batch.v.shape[2], config.dtype)
     run = _run_threads if config.executor == "threads" else _run_serial
     run(config, batch, acc)
@@ -406,13 +401,13 @@ def oracle_error(run: SimRun, reference: np.ndarray | None = None) -> float:
 
     ``reference`` is ``oracle_causal_attention`` of the run's inputs, when
     the caller already has it (runs that share Q, K, V and ``scale`` share
-    it); by default it is computed here.
+    it), checked as ``check_sequence`` does and against the output's
+    shape; by default it is computed here.
     """
     if reference is None:
         reference = oracle_causal_attention(run.q, run.k, run.v, scale=run.config.scale)
-    elif reference.shape != run.output.shape:
-        raise ValueError(
-            f"reference shape {reference.shape} does not match the output {run.output.shape}"
-        )
+    else:
+        reference = check_sequence("reference", reference)
+        check_array("reference", reference, run.output.shape)
     diff = np.subtract(run.output, reference, dtype=np.float64)
     return float(np.abs(diff, out=diff).max())

@@ -131,8 +131,10 @@ MUTANTS = [
     (
         "run_schedule checks only the dtype kind",
         "simulator.py",
-        "        if x.dtype != config.dtype:",
-        "        if x.dtype.kind != np.dtype(config.dtype).kind:",
+        "(n, c, width), config.dtype)",
+        "(n, c, width),\n"
+        "                    x.dtype if x.dtype.kind == np.dtype(config.dtype).kind\n"
+        "                    else config.dtype)",
     ),
     (
         "check_integer accepts bool sizes",
@@ -236,22 +238,22 @@ MUTANTS = [
         "",
     ),
     (
-        "accumulate_block takes a 2-D q",
+        "accumulate_block takes q of any rank and dtype",
         "attention.py",
-        "    if q.ndim != 3:",
-        "    if q.ndim < 2:",
+        '    q = check_array("q", q, (None, rows, None), dtype)\n',
+        "    q = np.asarray(q)\n",
     ),
     (
         "accumulate_block folds keys of any count",
         "attention.py",
-        '        ("k", k.shape, (g, cols, q.shape[2])),\n',
-        "",
+        '    k = check_array("k", k, (g, cols, q.shape[2]), dtype)',
+        '    k = check_array("k", k, (g, None, q.shape[2]), dtype)',
     ),
     (
         "accumulate_block folds into a state of any shape",
         "attention.py",
-        '        ("state", state.acc.shape[:2], (g, rows)),\n',
-        "",
+        '    d_v = check_array("state", state.acc, (g, rows, None)).shape[2]',
+        "    d_v = state.acc.shape[-1]",
     ),
     (
         "MaskSpec without its integer check",
@@ -297,6 +299,61 @@ MUTANTS = [
         "layout.py",
         '        local = check_integer("local", local, 0, self.block_size)\n',
         "",
+    ),
+    (
+        "check_array ignores the dtype",
+        "attention.py",
+        "    if dtype is not None and arr.dtype != dtype:",
+        "    if False:",
+    ),
+    (
+        "check_array's fast path skips the dtype",
+        "attention.py",
+        "x.shape == shape and (dtype is None or x.dtype == dtype):",
+        "x.shape == shape:",
+    ),
+    (
+        "check_array treats a fixed size as a wildcard",
+        "attention.py",
+        "        if want is not None and size != want:",
+        "        if False:",
+    ),
+    (
+        "accumulate_block without its dtype check",
+        "attention.py",
+        '    dtype = state.acc.dtype\n    q = check_array("q"',
+        '    dtype = None\n    q = check_array("q"',
+    ),
+    (
+        "oracle_error without the reference's value checks",
+        "simulator.py",
+        '        reference = check_sequence("reference", reference)\n',
+        "        reference = np.asarray(reference)\n",
+    ),
+    (
+        "check_sequence lets a failed cast escape as numpy's error",
+        "attention.py",
+        "    except (TypeError, ValueError, OverflowError) as exc:",
+        "    except OverflowError as exc:",
+    ),
+    (
+        "check_tiling takes any block size",
+        "attention.py",
+        '    block_rows = check_integer("block_rows", block_rows, 1)\n'
+        '    block_cols = check_integer("block_cols", block_cols, 1)\n',
+        "",
+    ),
+    (
+        "tms --golden takes --sp 0 as no filter",
+        "cli.py",
+        "    if args.sp is not None:\n        deltas",
+        "    if args.sp:\n        deltas",
+    ),
+    (
+        "Layout keeps numpy sizes",
+        "layout.py",
+        "            object.__setattr__(self, name, check_integer(name, getattr(self, name)))\n",
+        "            check_integer(name, getattr(self, name))\n",
     ),
 ]
 

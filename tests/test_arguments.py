@@ -1,5 +1,6 @@
-"""Every integer size and index of the public callables, and every dtype,
-fails as a ``ValueError`` whose message starts with the parameter's name."""
+"""Every integer size and index of the public callables, every dtype, and
+the array faults that used to escape unnamed, fail as a ``ValueError``
+whose message starts with the parameter's name."""
 
 import re
 
@@ -10,9 +11,13 @@ from ringsim.attention import (
     MaskKind,
     MaskSpec,
     SoftmaxAccumulator,
+    accumulate_block,
+    accumulate_tile,
+    check_sequence,
     check_tiling,
     get_mask_ring,
     get_mask_striped,
+    oracle_causal_attention,
 )
 from ringsim.costmodel import PRESET_FIELDS, PRESETS, ModelPreset, TmsQuery
 from ringsim.layout import Layout, check_split
@@ -20,9 +25,11 @@ from ringsim.simulator import (
     Algo,
     SimConfig,
     critical_path_required,
+    oracle_error,
     random_qkv,
     round_critical_path,
     schedule_work_stats,
+    simulate,
 )
 
 SIZES = dict(n_devices=2, n_seq=8, d_head=4, tile_q=2, tile_k=2, seed=0)
@@ -44,6 +51,8 @@ PARAMETERS = [
             (lambda x, f=get_mask: f(0, 0, 8, x), "n_devices", 1, None),
         )
     ),
+    ("check_tiling", lambda x: check_tiling(x, 8, 2, 2), "block_rows", 1, None),
+    ("check_tiling", lambda x: check_tiling(8, x, 2, 2), "block_cols", 1, None),
     ("check_tiling", lambda x: check_tiling(8, 8, x, 2), "tile_q", 1, None),
     ("check_tiling", lambda x: check_tiling(8, 8, 2, x), "tile_k", 1, None),
     ("fresh-size", lambda x: SoftmaxAccumulator.fresh(x, 3), "rows", 1, None),
@@ -107,3 +116,60 @@ def test_a_value_that_names_no_dtype_is_refused_under_its_name(call):
         message = f"dtype must be a numpy dtype, got {dtype!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(dtype)
+
+
+RUN = simulate(SimConfig(Algo.STRIPED, n_devices=2, n_seq=8, d_head=2, tile_q=1, tile_k=1))
+REFERENCE = oracle_causal_attention(RUN.q, RUN.k, RUN.v)
+ONES = np.ones((2, 4, 2))
+UNMASKED = MaskSpec(MaskKind.FULLY_UNMASKED, 4, 4)
+
+# (id, call, the message's start)
+ARRAYS = [
+    # Each of these used to fold float64 into float32 (or back) unchecked.
+    ("accumulate_block-q", lambda: accumulate_block(
+        SoftmaxAccumulator.fresh((2, 4), 2, np.float32), ONES, ONES, ONES, UNMASKED),
+     "q is float64, expected float32"),
+    ("accumulate_block-v", lambda: accumulate_block(
+        SoftmaxAccumulator.fresh((2, 4), 2), ONES, ONES, ONES.astype(np.float32), UNMASKED),
+     "v is float32, expected float64"),
+    # These leaked numpy's matmul or broadcast text, which names no parameter.
+    ("accumulate_tile-k_tile", lambda: accumulate_tile(
+        SoftmaxAccumulator.fresh(4, 2), ONES[0], np.ones((3, 3)), np.ones((3, 2))),
+     "k_tile shape (3, 3) does not match (*, 2)"),
+    ("accumulate_tile-v_tile", lambda: accumulate_tile(
+        SoftmaxAccumulator.fresh(4, 2), ONES[0], ONES[0], np.ones((4, 3))),
+     "v_tile shape (4, 3) does not match (4, 2)"),
+    ("accumulate_tile-allowed", lambda: accumulate_tile(
+        SoftmaxAccumulator.fresh(4, 2), ONES[0], ONES[0], ONES[0], np.ones((4, 4), int)),
+     "allowed is int64, expected bool"),
+    # oracle_error took a NaN reference and returned nan, which passes a
+    # ``err > tol`` gate, and a complex one raised numpy's UFuncTypeError.
+    ("oracle_error-nan", lambda: oracle_error(RUN, np.full((8, 2), np.nan)),
+     "reference contains non-finite entries"),
+    ("oracle_error-complex", lambda: oracle_error(RUN, REFERENCE + 1j),
+     "reference must be real, got dtype complex128"),
+    ("oracle_error-rank", lambda: oracle_error(RUN, REFERENCE[None]),
+     "reference shape (1, 8, 2) does not match (*, *)"),
+    # An object array's failed cast to float escaped as numpy's TypeError.
+    ("check_sequence-object", lambda: check_sequence("Q", np.array([[1.0, 1j]], dtype=object)),
+     "Q must be real numbers: "),
+    # A ragged list raised numpy's "inhomogeneous shape", naming nothing.
+    ("gather-ragged", lambda: RUN.layout.gather([np.ones((4, 2)), np.ones((4, 3))]),
+     "per_device is not one array: "),
+    ("partition-ragged", lambda: RUN.layout.partition([[1.0], [1.0, 2.0]], REFERENCE, REFERENCE),
+     "Q is not one array: "),
+    ("oracle-ragged", lambda: oracle_causal_attention([[1.0], [1.0, 2.0]], REFERENCE, REFERENCE),
+     "Q is not one array: "),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in ARRAYS],
+                         ids=[case[0] for case in ARRAYS])
+def test_every_bad_array_is_refused_under_its_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_oracle_error_takes_a_reference_as_a_list():
+    # It used to raise AttributeError: 'list' object has no attribute 'shape'.
+    assert oracle_error(RUN, REFERENCE.tolist()) == oracle_error(RUN, REFERENCE) <= 1e-9

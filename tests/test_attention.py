@@ -473,15 +473,16 @@ def test_accumulate_block_checks_shapes_against_the_mask():
     accumulate_block(state, q, k, v, mask)
     first_rows = SoftmaxAccumulator(state.acc[:, :4], state.m[:, :4], state.l[:, :4])
     for args, message in (
-        ((state, q[0], k, v, mask), r"^q must be stacked by device, \(g, rows, d\), got 2-D"),
+        ((state, q[0], k, v, mask), r"^q shape \(8, 3\) does not match \(\*, 8, \*\)$"),
         ((state, q, k, v, MaskSpec(MaskKind.FULLY_UNMASKED, 8, 4)), r"^k shape \(2, 8, 3\)"),
-        ((state, q, k[:1], v, mask), r"^k shape \(1, 8, 3\) does not match \(2, 8, 3\)"),
+        ((state, q, k[:1], v, mask), r"^k shape \(1, 8, 3\) does not match \(2, 8, 3\)$"),
         ((state, q, k, v[:, :4], mask), r"^v shape"),
         ((state, q, k, v[..., :4], mask), r"^v shape"),
         ((state, q, k[..., :2], v, mask), r"^k shape"),
-        ((state, q[:, :4], k, v, mask), r"^q shape \(2, 4\) does not match \(2, 8\)"),
-        ((first_rows, q, k, v, mask), r"^state shape \(2, 4\) does not match"),
-        ((state.devices(0, 1), q, k, v, mask), r"^state shape \(1, 8\) does not match"),
+        ((state, q[:, :4], k, v, mask), r"^q shape \(2, 4, 3\) does not match \(\*, 8, \*\)$"),
+        ((first_rows, q, k, v, mask), r"^state shape \(2, 4, 5\) does not match \(2, 8, \*\)$"),
+        ((state.devices(0, 1), q, k, v, mask),
+         r"^state shape \(1, 8, 5\) does not match \(2, 8, \*\)$"),
     ):
         with pytest.raises(ValueError, match=message):
             accumulate_block(*args)

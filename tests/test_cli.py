@@ -266,6 +266,13 @@ def test_tms_golden_output_matches_fixture(capsys):
     assert capsys.readouterr().out == want
 
 
+def test_tms_golden_filters_by_an_sp_of_0(capsys):
+    # --sp 0 used to compare all 137 rows: 0 is falsy, so it filtered nothing.
+    with resources.as_file(resources.files("ringsim").joinpath("data/tms_appendix.csv")) as p:
+        assert main(["tms", "--golden", str(p), "--sp", "0"]) == 2
+    assert "error: no golden rows match the given filters" in capsys.readouterr().err
+
+
 def test_tms_golden_detects_bad_rows(capsys, tmp_path):
     bad = tmp_path / "golden.csv"
     bad.write_text(

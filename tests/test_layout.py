@@ -51,6 +51,13 @@ def test_layout_rejects_non_integer_sizes(sizes):
         Layout("ring", *sizes)
 
 
+def test_layout_stores_int_sizes():
+    # Layout("ring", np.int64(8), 2).n_seq used to stay numpy.int64.
+    layout = Layout("ring", np.int64(8), np.int64(2))
+    assert layout == Layout("ring", 8, 2)
+    assert all(type(x) is int for x in (layout.n_seq, layout.n_devices, layout.block_size))
+
+
 def test_layout_requires_even_division():
     with pytest.raises(ValueError):
         Layout(Algo.RING, 16, 3)
@@ -116,13 +123,13 @@ def test_partition_stacks_by_device(scheme):
 
 def test_partition_and_gather_shape_errors():
     layout = Layout(Algo.STRIPED, 8, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Q shape \(6, 2\) does not match \(8, \*\)$"):
         layout.partition(np.zeros((6, 2)), np.zeros((8, 2)), np.zeros((8, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^per_device shape \(1, 4, 2\) does not match"):
         layout.gather([np.zeros((4, 2))])  # wrong shard count
-    with pytest.raises(ValueError):
-        layout.gather([np.zeros((3, 2)), np.zeros((4, 2))])  # wrong row count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^per_device is not one array"):
+        layout.gather([np.zeros((3, 2)), np.zeros((4, 2))])  # ragged: wrong row count
+    with pytest.raises(ValueError, match=r"^per_device shape \(2, 3, 2\) does not match \(2, 4,"):
         layout.gather(np.zeros((2, 3, 2)))  # stacked, wrong row count
 
 

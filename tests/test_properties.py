@@ -1,7 +1,11 @@
 """Property tests: random ring sizes, block sizes, tilings and layouts
 against the dense oracle and the tile-by-tile enumeration of work, and
-random block shapes and diagonals against position arithmetic."""
+random block shapes and diagonals against position arithmetic, and every
+array argument of the boundary, layout and kernel functions against bad
+ones."""
 
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,9 @@ from ringsim.attention import (  # noqa: E402
     SoftmaxAccumulator,
     accumulate_block,
     accumulate_tile,
+    check_sequence,
     classify_tiles,
+    oracle_causal_attention,
     tile_census,
 )
 from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
@@ -288,3 +294,157 @@ def test_large_logits_stay_exact(algo):
     config = SimConfig(algo=algo, n_devices=8, n_seq=256, d_head=8, tile_q=4, tile_k=4, seed=1)
     q, k, v = random_qkv(256, 8, 1)
     assert oracle_error(simulate(config, (q * 1e3, k, v))) <= EXACT_TOL
+
+
+# How one array argument goes wrong (``_spoil``), and per kind of function
+# (the faults drawn, those it must refuse). NaN and inf are drawn only for
+# the boundary functions: the kernel and the layout check structure, and
+# leave values to ``check_sequence``.
+_STRUCTURE = ("rank", "size", "ragged")
+_DTYPES = ("other float", "int64", "float16", "complex", "object")
+_BOUNDARY = (_STRUCTURE + _DTYPES + ("nan", "inf"),
+             frozenset(_STRUCTURE + ("complex", "nan", "inf")))
+_LAYOUT = (_STRUCTURE + _DTYPES, frozenset(_STRUCTURE))
+_KERNEL = (_STRUCTURE + _DTYPES, frozenset(_STRUCTURE + _DTYPES))
+
+
+def _spoil(x, fault):
+    """``x`` with ``fault``: an extra axis, an extra leading row, a ragged
+    nested list, another dtype, or one NaN or inf entry."""
+    if fault is None:
+        return x
+    if fault == "rank":
+        return x[..., None]
+    if fault == "size":
+        return np.concatenate([x, x[:1]])
+    if fault == "ragged":  # the last leading entry loses a column
+        return [*x[:-1].tolist(), x[-1, ..., :-1].tolist()]
+    if fault in ("nan", "inf"):
+        x = x.copy()
+        x.flat[-1] = np.nan if fault == "nan" else np.inf
+        return x
+    if fault == "complex":
+        return x + 1j
+    return x.astype({"other float": np.float32 if x.dtype == np.float64 else np.float64,
+                     "int64": np.int64, "float16": np.float16, "object": object}[fault])
+
+
+_SMALL = st.integers(2, 4)  # every size; 2 or more, so a ragged list is ragged
+_RUN = simulate(SimConfig(Algo.STRIPED, n_devices=2, n_seq=6, d_head=3, tile_q=1, tile_k=1))
+
+# Each target takes (data, rng) and returns (call, good arrays, names,
+# faults): call(arrays) calls the function, names are those its messages
+# may start with, and faults is one of the three pairs above.
+
+
+def _check_sequence(data, rng):
+    x = rng.standard_normal((data.draw(_SMALL), data.draw(_SMALL)))
+    faults, refuses = _BOUNDARY
+    return lambda a: check_sequence("x", *a), [x], ("x",), (faults, refuses - {"size"})
+
+
+def _simulate(data, rng):
+    n, c, d = data.draw(_SMALL), data.draw(_SMALL), data.draw(_SMALL)
+    config = SimConfig(data.draw(st.sampled_from(list(Algo))), n_devices=n, n_seq=n * c,
+                       d_head=d, tile_q=1, tile_k=1,
+                       precision=data.draw(st.sampled_from(["double", "single"])))
+    qkv = [rng.standard_normal((n * c, d)) for _ in range(3)]
+    return lambda a: simulate(config, a), qkv, ("Q", "K", "V", "inputs"), _BOUNDARY
+
+
+def _oracle(data, rng):
+    n, d, d_v = data.draw(_SMALL), data.draw(_SMALL), data.draw(_SMALL)
+    qkv = [rng.standard_normal(shape) for shape in ((n, d), (n, d), (n, d_v))]
+    return lambda a: oracle_causal_attention(*a), qkv, ("Q", "K", "V"), _BOUNDARY
+
+
+def _oracle_error(data, rng):
+    reference = oracle_causal_attention(_RUN.q, _RUN.k, _RUN.v)
+    return lambda a: oracle_error(_RUN, *a), [reference], ("reference",), _BOUNDARY
+
+
+def _partition(data, rng):
+    n, c, d = data.draw(_SMALL), data.draw(_SMALL), data.draw(_SMALL)
+    layout = Layout(data.draw(st.sampled_from(list(Algo))), n * c, n)
+    qkv = [rng.standard_normal((n * c, d)) for _ in range(3)]
+    return lambda a: layout.partition(*a), qkv, ("Q", "K", "V"), _LAYOUT
+
+
+def _gather(data, rng):
+    n, c, d = data.draw(_SMALL), data.draw(_SMALL), data.draw(_SMALL)
+    layout = Layout(data.draw(st.sampled_from(list(Algo))), n * c, n)
+    as_list = data.draw(st.booleans())  # one array per device
+
+    def call(arrays):
+        [x] = arrays
+        return layout.gather(list(x) if as_list and isinstance(x, np.ndarray) else x)
+
+    return call, [rng.standard_normal((n, c, d))], ("per_device",), _LAYOUT
+
+
+def _accumulate_block(data, rng):
+    g, rows, cols, d, d_v = (data.draw(_SMALL) for _ in range(5))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    mask = MaskSpec(data.draw(st.sampled_from(list(MaskKind))), rows, cols)
+    qkv = [rng.standard_normal(shape).astype(dtype)
+           for shape in ((g, rows, d), (g, cols, d), (g, cols, d_v))]
+
+    def call(arrays):
+        return accumulate_block(SoftmaxAccumulator.fresh((g, rows), d_v, dtype), *arrays, mask)
+
+    return call, qkv, ("q", "k", "v", "state"), _KERNEL
+
+
+def _accumulate_tile(data, rng):
+    rows, width, d, d_v = (data.draw(_SMALL) for _ in range(4))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((rows, d), (width, d), (width, d_v))]
+    if data.draw(st.booleans()):
+        arrays.append(rng.random((rows, width)) < 0.5)  # else the tile is unmasked
+
+    def call(arrays):
+        return accumulate_tile(SoftmaxAccumulator.fresh(rows, d_v, dtype), *arrays)
+
+    return call, arrays, ("q_tile", "k_tile", "v_tile", "allowed", "state"), _KERNEL
+
+
+_TARGETS = {f.__name__.lstrip("_"): f for f in (
+    _check_sequence, _simulate, _oracle, _oracle_error, _partition, _gather,
+    _accumulate_block, _accumulate_tile,
+)}
+
+
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+@BOUNDED
+@given(st.integers(0, 2**16), st.data())
+def test_every_array_argument_is_used_or_refused_under_its_name(target, seed, data):
+    # On drawn sizes, dtypes and layouts: the good arguments, then each
+    # argument with each fault (an extra axis, a wrong size, a ragged list,
+    # other dtypes, NaN and inf), then a random mix of faults. A call with
+    # no fault the function refuses succeeds; one with such a fault raises
+    # a ValueError that starts with a parameter's name. Two size faults
+    # may agree with each other, so either is fine then. No other
+    # exception and no warning may escape. simulate also gets two and four
+    # arrays.
+    rng = np.random.default_rng(seed)
+    call, good, names, (faults, refuses) = _TARGETS[target](data, rng)
+    cases = [[None] * len(good)]
+    cases += [[fault if i == j else None for j in range(len(good))]
+              for i in range(len(good)) for fault in faults]
+    cases.append([None if rng.random() < 0.5 else faults[rng.integers(len(faults))] for _ in good])
+    calls = [(case, [_spoil(x, fault) for x, fault in zip(good, case)]) for case in cases]
+    if target == "simulate":
+        calls += [(["count"], good[:2]), (["count"], good + good[:1])]
+        refuses = refuses | {"count"}
+    for case, arrays in calls:
+        hits = [fault for fault in case if fault in refuses]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(arrays)
+            except ValueError as exc:
+                assert hits, f"{target} refused {case}: {exc}"
+                assert re.match(f"({'|'.join(names)}) ", str(exc)), f"{target} {case}: {exc}"
+            else:
+                assert not hits or hits.count("size") == len(hits) > 1, f"{target} took {case}"

@@ -317,7 +317,7 @@ def test_oracle_error_takes_a_precomputed_reference():
     reference = oracle_causal_attention(run.q, run.k, run.v)
     assert oracle_error(run, reference) == oracle_error(run)
     assert oracle_error(run, np.zeros_like(reference)) == float(np.max(np.abs(run.output)))
-    with pytest.raises(ValueError, match="does not match the output"):
+    with pytest.raises(ValueError, match=r"^reference shape \(8, 4\) does not match \(16, 4\)$"):
         oracle_error(run, reference[:8])
 
 
