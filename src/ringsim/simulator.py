@@ -251,50 +251,50 @@ def schedule_work_stats(
     of the schedule's three masks (``_relation_masks``) is counted once.
     Partial tiles are charged their whole area as computed.
 
-    The arguments are checked on every call; the counters are computed
-    once per (algo, N, block size, tiling) in a process and shared, as
-    frozen ``WorkStats``. The list is new on every call, so a caller may
-    change it without changing what the next caller gets.
+    The arguments are checked on every call, before any lookup. The
+    counters are cached as three rows per (algo, N, block size, tiling)
+    (``_relation_rows``); their expansion into frozen ``WorkStats`` is
+    cached and shared only for N <= 16, and built on every call above it.
+    The list is new on every call, so a caller may change it without
+    changing what the next caller gets.
     """
     n, c = check_integer("n_devices", n_devices, 2), check_integer("block_size", block_size, 1)
     tile_q, tile_k = check_integer("tile_q", tile_q), check_integer("tile_k", tile_k)
-    return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))
+    expand = _work_stats if n <= _EXPANDED_MAX_DEVICES else _work_stats.__wrapped__
+    return list(expand(Algo(algo), n, c, tile_q, tile_k))
 
 
-# Called with checked ints only: lru_cache finds a key by equality (8.0 == 8,
-# True == 1), so an unchecked 8.0 would hit the entry of 8 and pass. A full
-# ``ringsim verify`` reads 18 keys.
+_EXPANDED_MAX_DEVICES = 16  # the paper's largest ring; 64 keys at N = 16 hold 2.7 MB
+
+
+# Both caches take checked ints only: lru_cache finds a key by equality
+# (8.0 == 8, True == 1), so an unchecked 8.0 would hit the entry of 8 and
+# pass. A full ``ringsim verify`` reads 21 keys, all with N <= 8.
 @functools.lru_cache(maxsize=64)
 def _work_stats(algo: Algo, n_devices: int, block_size: int, tile_q: int, tile_k: int):
-    area = tile_q * tile_k
-    counters = []  # RoundStats fields of the own block, k < j and k > j
-    for mask in _relation_masks(algo, n_devices, block_size):
-        census = tile_census(mask, tile_q, tile_k)
-        counters.append(
-            dict(
-                tiles_total=census.n_total,
-                tiles_skipped=census.n_skip,
-                tiles_partial=census.n_partial,
-                tiles_full=census.n_full,
-                interactions_computed=(census.n_full + census.n_partial) * area,
-                interactions_required=mask.count_allowed(),
-            )
-        )
-    own, below, above = counters
+    own, below, above = _relation_rows(algo, n_devices, block_size, tile_q, tile_k)
     return tuple(
         WorkStats(
             device=j,
             rounds=tuple(
-                RoundStats(
-                    round=i,
-                    block_index=(j - i) % n_devices,
-                    **(own if i == 0 else below if j >= i else above),
-                )
+                RoundStats(i, (j - i) % n_devices, *(own if i == 0 else below if j >= i else above))
                 for i in range(n_devices)
             ),
         )
         for j in range(n_devices)
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _relation_rows(algo: Algo, n_devices: int, block_size: int, tile_q: int, tile_k: int):
+    """The ``RoundStats`` fields after ``block_index`` for the own, below and above masks."""
+    area = tile_q * tile_k
+    rows = []
+    for mask in _relation_masks(algo, n_devices, block_size):
+        census = tile_census(mask, tile_q, tile_k)
+        rows.append((census.n_total, census.n_skip, census.n_partial, census.n_full,
+                     (census.n_full + census.n_partial) * area, mask.count_allowed()))
+    return tuple(rows)
 
 
 def _relation_masks(algo: Algo, n_devices: int, block_size: int) -> tuple[MaskSpec, ...]:
@@ -329,18 +329,14 @@ def critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
     """``critical_path_sum`` of the required interactions at 1x1 tiles, in O(1).
 
     Round 0 holds the own blocks, every later round one block of each
-    other relation (``_relation_masks``). The arguments are checked on
-    every call; the count is computed once per (algo, N, block size) in
-    a process.
+    other relation. The count is read from the cached counter rows
+    (``_relation_rows``) at one tile per block, whose census is O(1): the
+    required count does not depend on the tiling. The arguments are
+    checked on every call, before the lookup.
     """
     n, c = check_integer("n_devices", n_devices, 2), check_integer("block_size", block_size, 1)
-    return _critical_path_required(Algo(algo), n, c)
-
-
-@functools.lru_cache(maxsize=256)  # checked ints only, as ``_work_stats``
-def _critical_path_required(algo: Algo, n_devices: int, block_size: int) -> int:
-    own, below, above = (m.count_allowed() for m in _relation_masks(algo, n_devices, block_size))
-    return own + (n_devices - 1) * max(below, above)
+    own, below, above = _relation_rows(Algo(algo), n, c, c, c)  # [-1]: interactions_required
+    return own[-1] + (n - 1) * max(below[-1], above[-1])
 
 
 def simulated_speedup(ring_stats: Sequence[WorkStats], striped_stats: Sequence[WorkStats]) -> float:
@@ -379,11 +375,13 @@ def simulate(config: SimConfig, inputs=None) -> SimRun:
     if inputs is None:
         q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
     else:
-        inputs = tuple(inputs)
-        if len(inputs) != 3:
-            raise ValueError(f"inputs must be the three arrays Q, K and V, got {len(inputs)}")
+        try:
+            q, k, v = inputs
+        except (TypeError, ValueError):
+            got = len(inputs) if hasattr(inputs, "__len__") else type(inputs).__name__
+            raise ValueError(f"inputs must be the three arrays Q, K and V, got {got}") from None
         q, k, v = (
-            check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", inputs)
+            check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", (q, k, v))
         )
     layout = make_layout(config)
     q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q

@@ -3,10 +3,12 @@
 Run by hand from anywhere: ``python tests/mutants.py``. pytest does not
 collect this file. Each mutant is one exact string replacement that must
 match its file exactly once; it is applied to a fresh copy of ``src/`` in
-a temporary directory, and the tier-1 suite (``tests/``) runs against that
-copy with ``-x -q``. The runner checks that ``ringsim`` was imported from
-the copy before it starts pytest. The unmutated copy runs first and must
-pass, so a mutant counts as killed only because of what it changed.
+a temporary directory of its own, and the tier-1 suite (``tests/``) runs
+against that copy with ``-x -q`` and its own ``--basetemp``. The runner
+checks that ``ringsim`` was imported from the copy before it starts
+pytest. The unmutated copy runs first, alone, and must pass, so a mutant
+counts as killed only because of what it changed. Then the mutants run
+``WORKERS`` at a time; their results are printed in ``MUTANTS`` order.
 
 Exit status: 0 when every mutant is killed, 1 otherwise.
 """
@@ -19,9 +21,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # the mutants run two at a time, one suite process each, on a 2-core machine
 
 # (name, file under src/ringsim, exact text, replacement)
 MUTANTS = [
@@ -63,16 +67,11 @@ MUTANTS = [
         "            for inbox in []:\n",
     ),
     (
-        "check_sequence: no range check before the cast",
+        "check_sequence casts without errstate",
         "attention.py",
-        "        if narrows and (np.isfinite(arr)",
-        "        if False and (np.isfinite(arr)",
-    ),
-    (
-        "check_sequence skips the overflow scan when the cast narrows",
-        "attention.py",
-        "np.finfo(arr.dtype).max > limit",
-        "np.finfo(arr.dtype).max <= limit",
+        '            with np.errstate(over="raise"):\n'
+        "                arr = arr.astype(dtype)\n",
+        "            arr = arr.astype(dtype)\n",
     ),
     (
         "check_integer's early return lets bool through",
@@ -107,8 +106,8 @@ MUTANTS = [
     (
         "critical_path_required takes the lighter relation",
         "simulator.py",
-        "    return own + (n_devices - 1) * max(below, above)",
-        "    return own + (n_devices - 1) * min(below, above)",
+        "    return own[-1] + (n - 1) * max(below[-1], above[-1])",
+        "    return own[-1] + (n - 1) * min(below[-1], above[-1])",
     ),
     (
         "accumulate_block visits the exclusive triangle's dead row 0",
@@ -183,10 +182,8 @@ MUTANTS = [
     (
         "simulate takes any number of input arrays",
         "simulator.py",
-        "        if len(inputs) != 3:\n"
-        '            raise ValueError(f"inputs must be the three arrays Q, K and V, '
-        'got {len(inputs)}")\n',
-        "",
+        "            q, k, v = inputs\n",
+        "            q, k, v = (list(inputs) * 3)[:3]\n",
     ),
     (
         "WorkStats not frozen",
@@ -203,9 +200,33 @@ MUTANTS = [
     (
         "schedule_work_stats hands every caller one shared list per key",
         "simulator.py",
-        "    return list(_work_stats(Algo(algo), n, c, tile_q, tile_k))\n",
+        "    return list(expand(Algo(algo), n, c, tile_q, tile_k))\n",
         "    key = (Algo(algo), n, c, tile_q, tile_k)\n"
-        "    return _LISTS.setdefault(key, list(_work_stats(*key)))\n\n\n_LISTS = {}\n",
+        "    return _LISTS.setdefault(key, list(expand(*key)))\n\n\n_LISTS = {}\n",
+    ),
+    (
+        "schedule_work_stats caches the expansion at every N",
+        "simulator.py",
+        "    expand = _work_stats if n <= _EXPANDED_MAX_DEVICES else _work_stats.__wrapped__\n",
+        "    expand = _work_stats\n",
+    ),
+    (
+        "critical_path_required reads the computed count",
+        "simulator.py",
+        "    return own[-1] + (n - 1) * max(below[-1], above[-1])",
+        "    return own[-2] + (n - 1) * max(below[-2], above[-2])",
+    ),
+    (
+        "simulate lets a non-iterable inputs escape as Python's TypeError",
+        "simulator.py",
+        "        except (TypeError, ValueError):\n            got = ",
+        "        except ValueError:\n            got = ",
+    ),
+    (
+        "accumulate_tile folds an empty key tile",
+        "attention.py",
+        "    if not len(k_tile):\n",
+        "    if False:\n",
     ),
     (
         "ModelPreset without its integer check",
@@ -372,39 +393,46 @@ def _mutated_source(name: str, file: str, old: str, new: str) -> tuple[Path, str
     return path, text.replace(old, new)
 
 
-def _run_suite(src: Path) -> tuple[int, str]:
-    """Exit code of the tier-1 suite against ``src``, and its deciding output line."""
+def _run_suite(
+    src: Path, name: str, path: Path | None, text: str | None
+) -> tuple[int, str, float]:
+    """Exit code, deciding output line and seconds of the tier-1 suite against a
+    fresh copy of ``src/`` made in ``src``'s directory, with ``text`` at ``path``."""
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if path is not None:
+        (src / path).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-c", _RUNNER, str(src), "-x", "-q", "-p", "no:cacheprovider"]
+    cmd = [sys.executable, "-c", _RUNNER, str(src), "-x", "-q", "-p", "no:cacheprovider",
+           f"--basetemp={src.parent / 'basetemp'}"]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode == 99:
+        raise SystemExit(f"{name}: the suite did not import ringsim from the mutated copy")
     lines = proc.stdout.splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
-    return proc.returncode, (failed or lines[-1:] or ["(no output)"])[0][:110]
+    line = (failed or lines[-1:] or ["(no output)"])[0][:110]
+    return proc.returncode, line, time.perf_counter() - start
 
 
 def main() -> int:
     sources = [(name, *_mutated_source(name, *edit)) for name, *edit in MUTANTS]
     survivors = []
     with tempfile.TemporaryDirectory(prefix="ringsim-mutants-") as tmp:
-        src = Path(tmp) / "src"
-        for name, path, text in [("unmutated", None, None)] + sources:
-            shutil.rmtree(src, ignore_errors=True)
-            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-            if path is not None:
-                (src / path).write_text(text)
-            start = time.perf_counter()
-            code, line = _run_suite(src)
-            if code == 99:
-                raise SystemExit("the suite did not import ringsim from the mutated copy")
-            if path is None:
-                if code != 0:
-                    raise SystemExit(f"the unmutated suite fails (exit {code}): {line}")
-                verdict = "passes"
-            else:
+        # Each run gets its own directory: its copy of src/ and pytest's --basetemp.
+        def judge(i: int, source: tuple) -> tuple[int, str, float]:
+            return _run_suite(Path(tmp) / str(i) / "src", *source)
+
+        code, line, seconds = judge(0, ("unmutated", None, None))
+        if code != 0:
+            raise SystemExit(f"the unmutated suite fails (exit {code}): {line}")
+        print(f"{'passes':8} {seconds:5.1f}s  unmutated\n         {line}")
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = pool.map(judge, range(1, len(sources) + 1), sources)  # in MUTANTS order
+            for (name, _, _), (code, line, seconds) in zip(sources, results):
                 verdict = "killed" if code != 0 else "SURVIVED"
                 if code == 0:
                     survivors.append(name)
-            print(f"{verdict:8} {time.perf_counter() - start:5.1f}s  {name}\n         {line}")
+                print(f"{verdict:8} {seconds:5.1f}s  {name}\n         {line}", flush=True)
     print(f"{len(sources) - len(survivors)} of {len(sources)} mutants killed")
     for name in survivors:
         print(f"survived: {name}")

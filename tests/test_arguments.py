@@ -153,6 +153,17 @@ ARRAYS = [
     # An object array's failed cast to float escaped as numpy's TypeError.
     ("check_sequence-object", lambda: check_sequence("Q", np.array([[1.0, 1j]], dtype=object)),
      "Q must be real numbers: "),
+    # Its overflow to float32 went by with numpy's RuntimeWarning, to inf.
+    ("check_sequence-object-overflow", lambda: check_sequence(
+        "Q", np.array([[1e300, 1.0]], dtype=object), dtype=np.float32),
+     "Q has finite entries beyond the float32 range"),
+    # Python's "'int' object is not iterable".
+    ("simulate-inputs", lambda: simulate(RUN.config, 5),
+     "inputs must be the three arrays Q, K and V, got int"),
+    # numpy's "zero-size array to reduction operation maximum".
+    ("accumulate_tile-empty-k_tile", lambda: accumulate_tile(
+        SoftmaxAccumulator.fresh(4, 2), ONES[0], np.ones((0, 2)), np.ones((0, 2))),
+     "k_tile must hold at least one key, got shape (0, 2)"),
     # A ragged list raised numpy's "inhomogeneous shape", naming nothing.
     ("gather-ragged", lambda: RUN.layout.gather([np.ones((4, 2)), np.ones((4, 3))]),
      "per_device is not one array: "),

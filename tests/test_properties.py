@@ -50,9 +50,9 @@ BOUNDED = settings(max_examples=25, deadline=None, derandomize=True, database=No
 
 
 @st.composite
-def schedules(draw, max_seq):
-    """(algo, N, block size, tile_q, tile_k) with N in [2, 16], N * c <= max_seq."""
-    n = draw(st.integers(2, 16))
+def schedules(draw, max_seq, devices=(2, 16)):
+    """(algo, N, block size, tile_q, tile_k) with N in ``devices``, N * c <= max_seq."""
+    n = draw(st.integers(*devices))
     c = draw(st.integers(1, max_seq // n))
     divisors = [t for t in range(1, c + 1) if c % t == 0]
     return (
@@ -67,6 +67,13 @@ def schedules(draw, max_seq):
 @BOUNDED
 @given(schedules(max_seq=128))
 def test_closed_form_stats_equal_enumeration(schedule):
+    assert schedule_work_stats(*schedule) == enumerated_work_stats(*schedule)
+
+
+@BOUNDED
+@given(schedules(max_seq=160, devices=(17, 32)))
+def test_closed_form_stats_equal_enumeration_beyond_the_cached_rings(schedule):
+    # Above N = 16 the expansion is built on every call, not cached.
     assert schedule_work_stats(*schedule) == enumerated_work_stats(*schedule)
 
 

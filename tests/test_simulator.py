@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,23 @@ def test_critical_path_required_checks_sizes_on_every_call(name, bad):
     assert critical_path_required(Algo.RING, **sizes) == 36 + 3 * 64
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         critical_path_required(Algo.RING, **{**sizes, name: bad})
+
+
+def test_a_ring_beyond_the_cached_sizes_holds_no_memory_once_dropped():
+    # At N = 256 the expanded result is 65,536 RoundStats, about 10 MB; it
+    # must not stay cached once the caller drops it.
+    schedule_work_stats(Algo.RING, 4, 1, 1, 1)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stats = schedule_work_stats(Algo.RING, 256, 1, 1, 1)
+        assert stats[255].rounds[255].interactions_required == 1
+        del stats
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_work_stats_are_frozen():
