@@ -19,14 +19,19 @@ range is one ``attention.accumulate_block`` call. That kernel owns how
 the host computes: it folds a group of devices per BLAS call (8 at
 c = 128, more below it) in row chunks of 64, and masks only each chunk's
 diagonal square, so a triangular block pays for its triangle plus half a
-chunk square per chunk. The threaded one runs the loop over one device
+chunk square per chunk. The serial loop also folds B runs of one config
+at once (``_run_stacked``; ``ringsim verify`` stacks the seeds of each
+sweep config this way): the stacks hold N * B blocks, device-major, and
+a device range covers its devices' B copies, so a round still makes one
+kernel call per range. The threaded one runs the loop over one device
 per worker, with blocks arriving over ordered point-to-point queues.
 Each device's floating-point accumulation order is fixed (rounds in
 order, row chunks in order within a round, independent of the modelled
-tile and of the grouping; a stacked product makes the same BLAS call per
-device), so the two are bit-identical. The modelled tile only drives the
-work counters, which come from the closed form (``schedule_work_stats``),
-never from the numerics.
+tile, of the grouping and of the stacking; a stacked product makes one
+BLAS call per device block), so the two are bit-identical, and a
+stacked run's copies equal their own runs byte for byte. The modelled
+tile only drives the work counters, which come from the closed form
+(``schedule_work_stats``), never from the numerics.
 """
 
 from __future__ import annotations
@@ -133,14 +138,19 @@ def random_qkv(n_seq: int, d_head: int, seed: int, dtype=np.float64):
     return tuple(rng.standard_normal((n_seq, d_head), dtype=dtype) for _ in range(3))
 
 
-def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range, held) -> None:
+def _device_rounds(
+    config: SimConfig, acc: SoftmaxAccumulator, q, devices: range, held, copies: int
+) -> None:
     """Fold every round of ``devices``' schedule into the stacked ``acc``.
 
     In round i, devices [i, N) hold blocks [0, N - i) and devices [0, i)
     hold blocks [N - i, N). A block's mask depends only on how k compares
     with j, so each range shares one of the three ``_relation_masks``
     and is folded by one ``accumulate_block`` call.
-    ``held(i, a, b)`` returns the (K, V) stacks devices [a, b) hold in
+    ``acc``, ``q`` and the stacks ``held(i, a, b)`` returns hold
+    ``copies`` blocks per device, device-major: devices [a, b) are rows
+    [a * copies, b * copies), so every copy's block is folded as its own
+    device's. ``held`` gives the (K, V) stacks devices [a, b) hold in
     round i; it is called once per non-empty range and round, in round
     order.
     """
@@ -152,17 +162,20 @@ def _device_rounds(config: SimConfig, acc: SoftmaxAccumulator, q, devices: range
                            (first, min(i, stop), above)):
             if a < b:
                 k, v = held(i, a, b)
-                accumulate_block(acc.devices(a, b), q[a:b], k, v, mask)
+                lo, hi = a * copies, b * copies
+                accumulate_block(acc.devices(lo, hi), q[lo:hi], k, v, mask)
 
 
-def _run_serial(config: SimConfig, batch: PermutedBatch, acc: SoftmaxAccumulator) -> None:
+def _run_serial(config: SimConfig, q, k, v, copies: int, acc: SoftmaxAccumulator) -> None:
+    """All devices one round at a time, ``copies`` stacked blocks per device."""
     n = config.n_devices
 
     def held(i: int, a: int, b: int):
         k0 = (a - i) % n  # devices [a, b) hold blocks [k0, k0 + b - a)
-        return batch.k[k0:k0 + b - a], batch.v[k0:k0 + b - a]
+        rows = slice(k0 * copies, (k0 + b - a) * copies)
+        return k[rows], v[rows]
 
-    _device_rounds(config, acc, batch.q, range(n), held)
+    _device_rounds(config, acc, q, range(n), held, copies)
 
 
 class _PeerFailed(Exception):
@@ -200,7 +213,7 @@ def _run_threads(config: SimConfig, batch: PermutedBatch, acc: SoftmaxAccumulato
             return kv
 
         try:
-            _device_rounds(config, acc, batch.q, range(j, j + 1), held)
+            _device_rounds(config, acc, batch.q, range(j, j + 1), held, 1)
         except _PeerFailed:
             pass
         except BaseException as exc:  # re-raised by the caller after join
@@ -228,17 +241,58 @@ def run_schedule(config: SimConfig, batch: PermutedBatch):
     ``schedule_work_stats`` of the config: the counters depend on the
     masks and the tiling only.
     """
+    (outputs,), stats = _run_stacked(config, [batch])
+    return outputs, stats
+
+
+def _run_stacked(config: SimConfig, batches: Sequence[PermutedBatch]):
+    """``run_schedule`` of B batches of one config in one run: (B outputs, stats).
+
+    Each batch is checked as ``run_schedule`` checks its one, and all must
+    share V's width. The batches are stacked device-major, N * B blocks
+    with device j's copies at rows [j * B, (j + 1) * B), and the serial
+    executor folds them in one pass of ``_device_rounds``; one batch is
+    folded from its own arrays, uncopied. The threads executor takes one
+    batch. Every copy's bytes are those of its own run: a stacked product
+    makes one BLAS call per device block, and the stacking never reorders
+    a block's accumulation. A row that attended nothing is named (device,
+    row) in one batch and (device, copy, row) in a stack.
+    """
     n, c = config.n_devices, config.block_size
+    copies = len(batches)
+    if copies > 1 and config.executor == "threads":
+        raise ValueError("the threads executor runs one batch at a time")
     layout = make_layout(config)
-    if batch.layout != layout:
-        raise ValueError(f"batch is partitioned as {batch.layout}, but the config runs {layout}")
-    for name, x, width in (("Q", batch.q, config.d_head), ("K", batch.k, config.d_head),
-                           ("V", batch.v, None)):
-        check_array(f"batch {name}", x, (n, c, width), config.dtype)
-    acc = SoftmaxAccumulator.fresh((n, c), batch.v.shape[2], config.dtype)
-    run = _run_threads if config.executor == "threads" else _run_serial
-    run(config, batch, acc)
-    return finalize(acc), schedule_work_stats(config.algo, n, c, config.tile_q, config.tile_k)
+    arrays, d_v = [], None
+    for batch in batches:
+        if batch.layout != layout:
+            raise ValueError(
+                f"batch is partitioned as {batch.layout}, but the config runs {layout}"
+            )
+        arrays.append(tuple(
+            check_array(f"batch {name}", x, (n, c, width), config.dtype)
+            for name, x, width in (("Q", batch.q, config.d_head), ("K", batch.k, config.d_head),
+                                   ("V", batch.v, d_v))
+        ))
+        d_v = arrays[-1][2].shape[2]
+    if copies == 1:
+        [(q, k, v)] = arrays
+    else:
+        q, k, v = (np.stack(x, axis=1).reshape(n * copies, c, x[0].shape[2])
+                   for x in zip(*arrays))
+    acc = SoftmaxAccumulator.fresh((n * copies, c), d_v, config.dtype)
+    if config.executor == "threads":
+        _run_threads(config, batches[0], acc)
+    else:
+        _run_serial(config, q, k, v, copies, acc)
+    stats = schedule_work_stats(config.algo, n, c, config.tile_q, config.tile_k)
+    if copies == 1:
+        return [finalize(acc)], stats
+    state = SoftmaxAccumulator(
+        *(x.reshape((n, copies) + x.shape[1:]) for x in (acc.acc, acc.m, acc.l))
+    )
+    outputs = finalize(state)
+    return [outputs[:, s] for s in range(copies)], stats
 
 
 def schedule_work_stats(
@@ -372,22 +426,44 @@ def simulate(config: SimConfig, inputs=None) -> SimRun:
     Given inputs must be exactly Q, K and V, real; they are cast to the
     config's precision and must then be finite.
     """
-    if inputs is None:
-        q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
-    else:
-        try:
-            q, k, v = inputs
-        except (TypeError, ValueError):
-            got = len(inputs) if hasattr(inputs, "__len__") else type(inputs).__name__
-            raise ValueError(f"inputs must be the three arrays Q, K and V, got {got}") from None
-        q, k, v = (
-            check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", (q, k, v))
-        )
-    layout = make_layout(config)
-    q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q
-    batch = layout.partition(q_in, k, v)
-    outputs, stats = run_schedule(config, batch)
-    return SimRun(config, q, k, v, layout, stats, layout.gather(outputs))
+    (run,) = _simulate_stacked([config], [inputs])
+    return run
+
+
+def _simulate_stacked(configs: Sequence[SimConfig], inputs: Sequence) -> list[SimRun]:
+    """``simulate`` of each (config, inputs) pair, all folded in one ``_run_stacked``.
+
+    The configs may differ in their seed only. Each pair is drawn (or
+    checked), scaled and partitioned on its own, and its output gathered
+    on its own; its bytes and stats equal those of its own ``simulate``.
+    """
+    first = configs[0]
+    layout = make_layout(first)
+    drawn, batches = [], []
+    for config, given in zip(configs, inputs, strict=True):
+        if vars(config) | {"seed": first.seed} != vars(first):
+            raise ValueError(f"stacked configs may differ only in seed: {config} vs {first}")
+        if given is None:
+            q, k, v = random_qkv(config.n_seq, config.d_head, config.seed, config.dtype)
+        else:
+            try:
+                q, k, v = given
+            except (TypeError, ValueError):
+                got = len(given) if hasattr(given, "__len__") else type(given).__name__
+                raise ValueError(
+                    f"inputs must be the three arrays Q, K and V, got {got}"
+                ) from None
+            q, k, v = (
+                check_sequence(name, x, dtype=config.dtype) for name, x in zip("QKV", (q, k, v))
+            )
+        q_in = q * q.dtype.type(1.0 / math.sqrt(config.d_head)) if config.scale else q
+        drawn.append((q, k, v))
+        batches.append(layout.partition(q_in, k, v))
+    outputs, stats = _run_stacked(first, batches)
+    return [
+        SimRun(config, q, k, v, layout, list(stats), layout.gather(out))
+        for config, (q, k, v), out in zip(configs, drawn, outputs)
+    ]
 
 
 # Max abs error against the dense oracle that a run may show, per precision.

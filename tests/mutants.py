@@ -182,8 +182,8 @@ MUTANTS = [
     (
         "simulate takes any number of input arrays",
         "simulator.py",
-        "            q, k, v = inputs\n",
-        "            q, k, v = (list(inputs) * 3)[:3]\n",
+        "                q, k, v = given\n",
+        "                q, k, v = (list(given) * 3)[:3]\n",
     ),
     (
         "WorkStats not frozen",
@@ -219,8 +219,8 @@ MUTANTS = [
     (
         "simulate lets a non-iterable inputs escape as Python's TypeError",
         "simulator.py",
-        "        except (TypeError, ValueError):\n            got = ",
-        "        except ValueError:\n            got = ",
+        "            except (TypeError, ValueError):\n                got = ",
+        "            except ValueError:\n                got = ",
     ),
     (
         "accumulate_tile folds an empty key tile",
@@ -375,6 +375,54 @@ MUTANTS = [
         "layout.py",
         "            object.__setattr__(self, name, check_integer(name, getattr(self, name)))\n",
         "            check_integer(name, getattr(self, name))\n",
+    ),
+    (
+        "stacked held blocks sliced per device, not per copy",
+        "simulator.py",
+        "        rows = slice(k0 * copies, (k0 + b - a) * copies)",
+        "        rows = slice(k0, (k0 + b - a) * copies)",
+    ),
+    (
+        "every stacked seed's output split from copy 0",
+        "simulator.py",
+        "    return [outputs[:, s] for s in range(copies)], stats",
+        "    return [outputs[:, 0] for s in range(copies)], stats",
+    ),
+    (
+        "the exactness sweep compares every seed with its stack's first reference",
+        "verify.py",
+        "[oracle_error(run, drawn[key][1]) for run, key in zip(runs, keys)]",
+        "[oracle_error(run, drawn[keys[0]][1]) for run, key in zip(runs, keys)]",
+    ),
+    (
+        "a stacked run checks only its first batch",
+        "simulator.py",
+        "    for batch in batches:\n        if batch.layout != layout:",
+        "    for batch in batches[:1]:\n        if batch.layout != layout:",
+    ),
+    (
+        "a stacked run lets V's width differ between batches",
+        "simulator.py",
+        '("V", batch.v, d_v))',
+        '("V", batch.v, None))',
+    ),
+    (
+        "the threads executor takes a stack of batches",
+        "simulator.py",
+        '    if copies > 1 and config.executor == "threads":\n',
+        "    if False:\n",
+    ),
+    (
+        "a stacked run names a dead row by its stacked row index",
+        "simulator.py",
+        "    outputs = finalize(state)\n",
+        "    outputs = finalize(acc).reshape(n, copies, c, d_v)\n",
+    ),
+    (
+        "a stack takes configs that differ beyond the seed",
+        "simulator.py",
+        '        if vars(config) | {"seed": first.seed} != vars(first):',
+        "        if False:",
     ),
 ]
 

@@ -5,9 +5,10 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ringsim import cli, verify
+from ringsim import cli, simulator, verify
 from ringsim.attention import MaskKind, MaskSpec
 from ringsim.cli import STATS_CSV_HEADER, main
 from ringsim.simulator import Algo, SimConfig
@@ -187,6 +188,49 @@ def test_exactness_sweep_draws_each_input_once(monkeypatch):
     exactness, _ = verify.check_exactness(quick=True)
     assert exactness.passed
     assert len(calls) == 4  # one draw per (n_seq, seed), shared by both layouts and every N
+
+
+@pytest.mark.parametrize(
+    "quick,n_seq,seed", [(True, 64, 1), (False, 256, 3)], ids=["quick", "full"]
+)
+def test_exactness_detail_names_the_first_config_with_a_wrong_reference(
+    monkeypatch, quick, n_seq, seed
+):
+    # One input's oracle output is off by 1e-6. Its stack folds passing
+    # seeds with it, and the first config in sweep order that reads it is
+    # the contiguous layout at N = 2: the detail names that config.
+    real = verify.oracle_causal_attention
+    wrong_q = verify.random_qkv(n_seq, 16, seed)[0]
+
+    def one_wrong_reference(q, k, v, scale=False):
+        out = real(q, k, v, scale=scale)
+        if np.array_equal(q, wrong_q):
+            out[n_seq // 2, 3] += 1e-6
+        return out
+
+    monkeypatch.setattr(verify, "oracle_causal_attention", one_wrong_reference)
+    exactness, conservation = verify.check_exactness(quick=quick)
+    assert not exactness.passed and not conservation.passed
+    assert exactness.detail.startswith(
+        f"algo=ring N=2 n_seq={n_seq} seed={seed}: max abs err 1.000e-06 > 1e-09"
+    )
+
+
+def test_exactness_detail_names_a_failing_stack_by_its_first_config(monkeypatch):
+    # Blocks of 16 rows occur first at ring, N = 4, n_seq = 64 in the quick
+    # sweep; the fault does not depend on the seed, so the stack's first
+    # config is named, as a run of that config alone would be.
+    real = simulator.accumulate_block
+
+    def faulty(state, q, k, v, mask):
+        if mask.block_rows == 16:
+            raise RuntimeError("injected")
+        return real(state, q, k, v, mask)
+
+    monkeypatch.setattr(simulator, "accumulate_block", faulty)
+    exactness, conservation = verify.check_exactness(quick=True)
+    assert exactness.detail == "algo=ring N=4 n_seq=64 seed=0: injected"
+    assert conservation.detail == "not evaluated (algo=ring N=4 n_seq=64 seed=0 failed)"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ random block shapes and diagonals against position arithmetic, and every
 array argument of the boundary, layout and kernel functions against bad
 ones."""
 
+import dataclasses
 import re
 import warnings
 from unittest import mock
@@ -23,17 +24,20 @@ from ringsim.attention import (  # noqa: E402
     accumulate_tile,
     check_sequence,
     classify_tiles,
+    get_mask_ring,
+    get_mask_striped,
     oracle_causal_attention,
     tile_census,
 )
 from ringsim.costmodel import PRESETS, TmsQuery, tms  # noqa: E402
-from ringsim import attention  # noqa: E402
+from ringsim import attention, simulator  # noqa: E402
 from ringsim.layout import Layout  # noqa: E402
 from ringsim.simulator import (  # noqa: E402
     ORACLE_TOLERANCE,
     Algo,
     SimConfig,
     critical_path_required,
+    critical_path_sum,
     oracle_error,
     random_qkv,
     round_critical_path,
@@ -95,6 +99,28 @@ def test_critical_path_required_equals_round_sum(algo, n, c):
     assert critical_path_required(algo, n, c) == sum(
         round_critical_path(stats, i) for i in range(n)
     )
+
+
+def _computed_interactions(mask, tile_q, tile_k):
+    """Pairs in the tiles of ``mask`` that hold an allowed pair, from its dense tile sums."""
+    rows, cols = mask.block_rows, mask.block_cols
+    tiles = mask.allowed_block().reshape(rows // tile_q, tile_q, cols // tile_k, tile_k)
+    return int((tiles.sum(axis=(1, 3)) > 0).sum()) * tile_q * tile_k
+
+
+@BOUNDED
+@given(schedules(max_seq=256, devices=(2, 32)))
+def test_critical_path_sum_is_own_plus_the_heavier_relation(schedule):
+    # Round 0 holds own blocks only; every later round holds a block
+    # below the diagonal (k < j) and one above it (k > j), so the
+    # heavier of the two sets the round.
+    algo, n, c, tile_q, tile_k = schedule
+    get_mask = get_mask_ring if algo is Algo.RING else get_mask_striped
+    own, below, above = (
+        _computed_interactions(get_mask(j, k, c, n), tile_q, tile_k)
+        for j, k in ((0, 0), (1, 0), (0, 1))
+    )
+    assert critical_path_sum(schedule_work_stats(*schedule)) == own + (n - 1) * max(below, above)
 
 
 @BOUNDED
@@ -264,6 +290,40 @@ def test_grouped_serial_fold_equals_threads_and_oracle(algo, n, c, precision, se
     threaded = simulate(SimConfig(executor="threads", **base))
     assert serial.output.tobytes() == threaded.output.tobytes()
     assert oracle_error(serial) <= ORACLE_TOLERANCE[precision]
+
+
+@BOUNDED
+@given(
+    schedules(max_seq=128),
+    st.sampled_from(["double", "single"]),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+)
+# The sweep's largest stack, five seeds at N = 2, c = 64, four blocks per call.
+@example((Algo.STRIPED, 2, 64, 16, 32), "double", 5, 4, 1)
+# Calls that split a device's copies: three blocks per call of N * B = 12.
+@example((Algo.RING, 4, 8, 2, 4), "single", 3, 3, 2)
+def test_stacked_serial_fold_equals_each_seeds_own_run(schedule, precision, copies, group, seed):
+    # B seeds of one config fold as one serial stack of N * B device
+    # blocks, ``group`` blocks per kernel call: every seed keeps the
+    # bytes of its own serial and threaded runs, and the closed form.
+    algo, n, c, tile_q, tile_k = schedule
+    configs = [
+        SimConfig(algo=algo, n_devices=n, n_seq=n * c, d_head=4, tile_q=tile_q, tile_k=tile_k,
+                  seed=seed + s, precision=precision)
+        for s in range(copies)
+    ]
+    inputs = [random_qkv(n * c, 4, config.seed, config.dtype) for config in configs]
+    budget = group * min(c, attention._CHUNK_ROWS) * c
+    with mock.patch.object(attention, "_CALL_SCORES", budget):
+        stacked = simulator._simulate_stacked(configs, inputs)
+    stats = schedule_work_stats(algo, n, c, tile_q, tile_k)
+    for config, run in zip(configs, stacked):
+        alone = simulate(config)
+        threaded = simulate(dataclasses.replace(config, executor="threads"))
+        assert run.output.tobytes() == alone.output.tobytes() == threaded.output.tobytes()
+        assert run.config == config and run.stats == stats
 
 
 @BOUNDED

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from ringsim import attention, simulator
-from ringsim.attention import get_mask_ring, get_mask_striped, oracle_causal_attention
+from ringsim.attention import (
+    MaskKind,
+    MaskSpec,
+    get_mask_ring,
+    get_mask_striped,
+    oracle_causal_attention,
+)
 from ringsim.simulator import (
     Algo,
     SimConfig,
@@ -202,6 +208,54 @@ def test_run_schedule_rejects_mismatched_batch():
             SimConfig(algo=Algo.STRIPED, n_devices=4, n_seq=16, d_head=8, tile_q=2, tile_k=2),
             small.partition(q, k, v),
         )
+
+
+def _stack_of_two(second_v_width=4, executor="serial"):
+    config = SimConfig(algo=Algo.STRIPED, executor=executor, **SIZES)
+    layout = make_layout(config)
+    q, k, v = random_qkv(8, 4, 0)
+    return config, [layout.partition(q, k, v), layout.partition(q, k, v[:, :second_v_width])]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("other V width", r"batch V shape \(2, 4, 3\) does not match \(2, 4, 4\)"),
+    ("other dtype", r"batch K is float32, expected float64"),
+    ("threads", "the threads executor runs one batch at a time"),
+])
+def test_a_stacked_run_checks_every_batch(case, message):
+    # Every batch of a stack is checked, not only the first, and all
+    # share V's width; the threads executor takes one batch.
+    config, batches = _stack_of_two(3 if case == "other V width" else 4,
+                                    "threads" if case == "threads" else "serial")
+    if case == "other dtype":
+        batches[1] = dataclasses.replace(batches[1], k=batches[1].k.astype(np.float32))
+    with pytest.raises(ValueError, match=message):
+        simulator._run_stacked(config, batches)
+
+
+def test_a_stacked_run_names_a_dead_row_by_device_and_copy(monkeypatch):
+    # An exclusive own block and a masked earlier one leave row 0 of
+    # device 1 (of 2) with no key: one batch names (device, row), a stack
+    # (device, copy, row), never a stacked row index.
+    def dead_first_row(algo, n, c):
+        return tuple(MaskSpec(kind, c, c) for kind in (
+            MaskKind.CAUSAL_EXCLUSIVE, MaskKind.FULLY_MASKED, MaskKind.FULLY_UNMASKED))
+
+    monkeypatch.setattr(simulator, "_relation_masks", dead_first_row)
+    config, batches = _stack_of_two()
+    with pytest.raises(ValueError, match=r"first dead row: 1, 0\)"):
+        run_schedule(config, batches[0])
+    with pytest.raises(ValueError, match=r"first dead row: 1, 0, 0\)"):
+        simulator._run_stacked(config, batches)
+
+
+def test_a_stack_takes_configs_that_differ_only_in_seed():
+    config = SimConfig(algo=Algo.STRIPED, **SIZES)
+    inputs = [None, None]
+    runs = simulator._simulate_stacked([config, dataclasses.replace(config, seed=3)], inputs)
+    assert [run.config.seed for run in runs] == [0, 3]
+    with pytest.raises(ValueError, match="stacked configs may differ only in seed"):
+        simulator._simulate_stacked([config, dataclasses.replace(config, scale=True)], inputs)
 
 
 @pytest.mark.parametrize("which,bad", [(0, np.nan), (1, np.inf), (2, -np.inf)])
